@@ -16,7 +16,7 @@ import time
 def bench_workloads():
     import numpy as np
 
-    from symtensor import SolverConfig, _kernels, gen_partial_sym3, initialize, InitStrategy, pcls3
+    from symtensor import SolverConfig, _kernels, generate_problem, initialize, InitStrategy, pcls3
 
     results = {}
 
@@ -46,7 +46,7 @@ def bench_workloads():
     results["quartic_min x20000"] = {"seconds": time.perf_counter() - t0, "checksum": acc}
 
     # full solver run, dominated by the column sweeps at this size
-    x, truth = gen_partial_sym3(17, 18, 17, np.random.default_rng(1), 0.75)
+    x, truth = generate_problem("psym3", (17, 17, 18), 17, np.random.default_rng(1), 0.75)
     init = initialize(
         InitStrategy.perturbed_truth(0.1, truth), [(17, 17), (18, 17)], np.random.default_rng(2)
     )

@@ -1,10 +1,12 @@
 """Scalar hot loops: real cubic roots, quartic minimization, coordinate sweeps.
 
-The functions below are written as plain Python over numpy scalars. At import
+The functions below are written as plain Python over scalars. At import
 time they are compiled with numba when it is available, unless the
 environment variable SYMTENSOR_NO_NUMBA is set to a non-empty value other
 than "0", in which case the pure-Python definitions run as is. Both backends
-execute the same source, so they agree to floating point roundoff.
+execute the same source, so they agree to floating point roundoff; only
+``coordinate_sweep`` differs, handing ``_sweep`` Python lists in pure Python
+and the arrays themselves when compiled.
 """
 from __future__ import annotations
 
@@ -22,6 +24,16 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _polish(x: float, p: float, q: float, r: float) -> float:
+    """Two Newton steps on x^3 + p x^2 + q x + r from x."""
+    for _ in range(2):
+        f = ((x + p) * x + q) * x + r
+        d = (3.0 * x + 2.0 * p) * x + q
+        if d != 0.0:
+            x -= f / d
+    return x
+
+
 def cubic_roots(p: float, q: float, r: float):
     """Real roots of the monic cubic x^3 + p x^2 + q x + r.
 
@@ -37,12 +49,10 @@ def cubic_roots(p: float, q: float, r: float):
     third_p = pp / 3.0
     disc = half_q * half_q + third_p * third_p * third_p
 
-    roots = np.zeros(3)
     if disc > 0.0:
         s = math.sqrt(disc)
-        n = 1
-        roots[0] = _cbrt(-half_q + s) + _cbrt(-half_q - s) - shift
-    elif disc < 0.0:
+        return 1, _polish(_cbrt(-half_q + s) + _cbrt(-half_q - s) - shift, p, q, r), 0.0, 0.0
+    if disc < 0.0:
         # three distinct real roots, trigonometric form (pp < 0 here)
         m = 2.0 * math.sqrt(-third_p)
         arg = 3.0 * qq / (pp * m)
@@ -51,50 +61,39 @@ def cubic_roots(p: float, q: float, r: float):
         elif arg < -1.0:
             arg = -1.0
         theta = math.acos(arg)
-        n = 3
-        for k in range(3):
-            roots[k] = m * math.cos((theta - _TWO_PI * k) / 3.0) - shift
+        r0 = _polish(m * math.cos(theta / 3.0) - shift, p, q, r)
+        r1 = _polish(m * math.cos((theta - _TWO_PI) / 3.0) - shift, p, q, r)
+        r2 = _polish(m * math.cos((theta - 2.0 * _TWO_PI) / 3.0) - shift, p, q, r)
+        # insertion sort
+        if r0 > r1:
+            r0, r1 = r1, r0
+        if r1 > r2:
+            if r0 > r2:
+                r0, r1, r2 = r2, r0, r1
+            else:
+                r1, r2 = r2, r1
     elif qq == 0.0:
-        n = 1
-        roots[0] = -shift
+        return 1, _polish(-shift, p, q, r), 0.0, 0.0
     else:
         u = _cbrt(-half_q)
-        n = 2
-        roots[0] = 2.0 * u - shift
-        roots[1] = -u - shift
-
-    for i in range(n):
-        x = roots[i]
-        for _ in range(2):
-            f = ((x + p) * x + q) * x + r
-            d = (3.0 * x + 2.0 * p) * x + q
-            if d != 0.0:
-                x -= f / d
-        roots[i] = x
-
-    # insertion sort of the first n entries
-    for i in range(1, n):
-        key = roots[i]
-        j = i - 1
-        while j >= 0 and roots[j] > key:
-            roots[j + 1] = roots[j]
-            j -= 1
-        roots[j + 1] = key
-
+        r0 = _polish(2.0 * u - shift, p, q, r)
+        r1 = _polish(-u - shift, p, q, r)
+        r2 = math.nan  # no third root: never kept below
+        if r0 > r1:
+            r0, r1 = r1, r0
+    # merge roots closer than 1e-8 relative to the largest magnitude (or 1)
     scale = 1.0
-    for i in range(n):
-        a = abs(roots[i])
+    for a in (abs(r0), abs(r1), abs(r2)):
         if a > scale:
             scale = a
     tol = 1e-8 * scale
-    m_out = 1
-    for i in range(1, n):
-        if roots[i] - roots[m_out - 1] > tol:
-            roots[m_out] = roots[i]
-            m_out += 1
-    for i in range(m_out, 3):
-        roots[i] = 0.0
-    return m_out, roots[0], roots[1], roots[2]
+    if r1 - r0 > tol:
+        if r2 - r1 > tol:
+            return 3, r0, r1, r2
+        return 2, r0, r1, 0.0
+    if r2 - r0 > tol:
+        return 2, r0, r2, 0.0
+    return 1, r0, 0.0, 0.0
 
 
 def quartic_min(c4: float, c3: float, c2: float, c1: float, c0: float):
@@ -118,29 +117,38 @@ def quartic_min(c4: float, c3: float, c2: float, c1: float, c0: float):
     return best_x, best_v
 
 
-def coordinate_sweep(a: np.ndarray, y: np.ndarray, n_sweeps: int) -> None:
-    """Cyclic exact coordinate minimization of ||y - a a^T||_F^2 over a.
+def _sweep(v, t, n_sweeps: int) -> None:
+    """Cyclic exact coordinate minimization of ||y - v v^T||_F^2 over v, in
+    place, given t[i][j] = y[i, j] + y[j, i].
 
     Each coordinate update holds the others fixed; the objective restricted
-    to a[i] is a quartic with unit leading coefficient, minimized exactly.
+    to v[i] is a quartic with unit leading coefficient, minimized exactly.
     The constant term is irrelevant to the argmin and is passed as zero.
-    ``a`` is updated in place. ``y`` only enters through y[i, i] and
-    y[i, j] + y[j, i], so either orientation of y gives the same sweep.
     """
-    n = a.shape[0]
+    n = len(v)
     for _ in range(n_sweeps):
         for i in range(n):
+            ti = t[i]
             s2 = 0.0
             s1 = 0.0
             for j in range(n):
                 if j != i:
-                    aj = a[j]
+                    aj = v[j]
                     s2 += aj * aj
-                    s1 += (y[i, j] + y[j, i]) * aj
-            c2 = 2.0 * s2 - 2.0 * y[i, i]
+                    s1 += ti[j] * aj
+            c2 = 2.0 * s2 - ti[i]  # ti[i] = 2 y[i, i]
             c1 = -2.0 * s1
             x, _ = quartic_min(1.0, 0.0, c2, c1, 0.0)
-            a[i] = x
+            v[i] = x
+
+
+def coordinate_sweep(a: np.ndarray, y: np.ndarray, n_sweeps: int) -> None:
+    """``_sweep`` on the vector ``a``, in place. ``y`` only enters through
+    y + y^T, so either orientation of y gives the same sweep. Pure Python
+    sweeps lists, whose scalar reads cost a fraction of numpy's."""
+    v = a.tolist()
+    _sweep(v, (y + y.T).tolist(), n_sweeps)
+    a[:] = v
 
 
 def _flag_set(name: str) -> bool:
@@ -158,7 +166,13 @@ if not _flag_set("SYMTENSOR_NO_NUMBA"):
         # Rebinding in dependency order lets the compiled callees resolve
         # through the module globals when the callers are compiled.
         _cbrt = njit(cache=True, nogil=True)(_cbrt)
+        _polish = njit(cache=True, nogil=True)(_polish)
         cubic_roots = njit(cache=True, nogil=True)(cubic_roots)
         quartic_min = njit(cache=True, nogil=True)(quartic_min)
+        _sweep = njit(cache=True, nogil=True)(_sweep)
+
+        def coordinate_sweep(a, y, n_sweeps):  # noqa: F811  compiled: sweeps the arrays
+            _sweep(a, y + y.T, n_sweeps)
+
         coordinate_sweep = njit(cache=True, nogil=True)(coordinate_sweep)
         NUMBA_ENABLED = True

@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
+from .core import SymmetryPattern
 from .harness import (
-    KIND_PATTERNS,
+    SOLVERS,
     ExperimentSpec,
     RunSummary,
     generate_problem,
@@ -88,10 +89,6 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _sizes(text: str) -> tuple[int, ...]:
-    return _dims(text)
-
-
 def _scale_value(text: str) -> float:
     try:
         v = float(text)
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random structured tensor")
-    gen.add_argument("--kind", required=True, choices=sorted(KIND_PATTERNS))
+    gen.add_argument("--kind", required=True, choices=sorted(SOLVERS))
     gen.add_argument("--dims", required=True, type=_dims, help="e.g. 4,4,3")
     gen.add_argument("--rank", required=True, type=_positive_int)
     gen.add_argument("--seed", type=int, default=0)
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="decompose a tensor file")
     dec.add_argument("--input", required=True, help="tensor file to read")
     dec.add_argument("--solver", required=True, choices=("als", "pcls"))
-    dec.add_argument("--pattern", required=True, choices=sorted(KIND_PATTERNS))
+    dec.add_argument("--pattern", required=True, choices=sorted(SOLVERS))
     dec.add_argument("--rank", required=True, type=_positive_int)
     dec.add_argument("--tol", type=float, default=1e-10)
     dec.add_argument("--max-iters", type=_positive_int, default=20000)
@@ -143,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("benchmark", help="run a multi-seed solver comparison")
     ben.add_argument("--preset", choices=sorted(_PRESETS))
-    ben.add_argument("--kind", choices=sorted(KIND_PATTERNS))
+    ben.add_argument("--kind", choices=sorted(SOLVERS))
     ben.add_argument("--dims", type=_dims)
     ben.add_argument("--rank", type=_positive_int)
-    ben.add_argument("--sizes", type=_sizes,
+    ben.add_argument("--sizes", type=_dims,
                      help="size sweep (cubical dims with rank = size)")
     ben.add_argument("--seeds", type=_positive_int, default=None)
     ben.add_argument("--base-seed", type=int, default=0)
@@ -163,12 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if len(args.dims) != KIND_PATTERNS[args.kind].order:
-        print(
-            f"error: kind {args.kind} needs {KIND_PATTERNS[args.kind].order} dims, "
-            f"got {args.dims}",
-            file=sys.stderr,
-        )
+    order = SymmetryPattern(args.kind).order
+    if len(args.dims) != order:
+        print(f"error: kind {args.kind} needs {order} dims, got {args.dims}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     x, model = generate_problem(args.kind, args.dims, args.rank, rng, args.collinearity)

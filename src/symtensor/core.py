@@ -242,12 +242,15 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
 
 
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:
-    """Max absolute entry difference over the pattern's index permutations."""
+    """Max absolute entry difference over the pattern's index permutations.
+
+    NaN anywhere in a difference (a NaN entry, or inf against inf) makes the
+    defect NaN, so :func:`symmetry_check` rejects the tensor.
+    """
     x = np.asarray(x)
-    worst = 0.0
-    for perm in pattern.permutations:
-        worst = max(worst, float(np.max(np.abs(x.transpose(perm) - x))))
-    return worst
+    with np.errstate(invalid="ignore"):
+        diffs = [np.max(np.abs(x.transpose(perm) - x)) for perm in pattern.permutations]
+    return float(np.max(diffs, initial=0.0))
 
 
 def symmetry_check(x: np.ndarray, pattern: SymmetryPattern, tol: float = 1e-12) -> bool:

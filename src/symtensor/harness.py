@@ -33,11 +33,7 @@ from .solvers import (
 )
 
 __all__ = [
-    "KIND_PATTERNS",
-    "gen_partial_sym3",
-    "gen_full_sym4",
-    "gen_partial_sym4_case1",
-    "gen_partial_sym4_case2",
+    "SOLVERS",
     "generate_problem",
     "init_shapes",
     "solve_problem",
@@ -54,12 +50,21 @@ __all__ = [
     "write_summary_json",
 ]
 
-KIND_PATTERNS = {
-    "psym3": SymmetryPattern.PSYM3,
-    "psym4-case1": SymmetryPattern.PSYM4_CASE1,
-    "psym4-case2": SymmetryPattern.PSYM4_CASE2,
-    "fsym4": SymmetryPattern.FSYM4,
+# Problem kinds and the solvers that run on them. A kind is named by the
+# value of its symmetry pattern; the fsym4 solvers take their one starting
+# factor as a bare array.
+SOLVERS = {
+    "psym3": {"pcls": pcls3, "als": als3_sym},
+    "psym4-case1": {"pcls": pcls4_case1},
+    "psym4-case2": {"pcls": pcls4_case2},
+    "fsym4": {"pcls": pcls4_full, "als": als4_sym},
 }
+
+
+def _pattern(kind: str) -> SymmetryPattern:
+    if kind not in SOLVERS:
+        raise ValueError(f"unknown problem kind {kind!r} (known: {sorted(SOLVERS)})")
+    return SymmetryPattern(kind)
 
 
 def _draw_factor(rng: np.random.Generator, rows: int, r: int, collinearity: float) -> np.ndarray:
@@ -78,51 +83,6 @@ def _draw_factor(rng: np.random.Generator, rows: int, r: int, collinearity: floa
     return np.sqrt(collinearity) + np.sqrt(1.0 - collinearity) * g
 
 
-def gen_partial_sym3(
-    i: int, k: int, r: int, rng: np.random.Generator, collinearity: float = 0.0
-) -> tuple[np.ndarray, FactorModel]:
-    """Random I x I x K tensor symmetric in modes 1-2, plus its generating model."""
-    model = FactorModel(
-        SymmetryPattern.PSYM3,
-        [_draw_factor(rng, i, r, collinearity), _draw_factor(rng, k, r, collinearity)],
-    )
-    return reconstruct(model), model
-
-
-def gen_full_sym4(
-    i: int, r: int, rng: np.random.Generator, collinearity: float = 0.0
-) -> tuple[np.ndarray, FactorModel]:
-    """Random fully symmetric I^4 tensor; its square matricization is PSD."""
-    model = FactorModel(SymmetryPattern.FSYM4, [_draw_factor(rng, i, r, collinearity)])
-    return reconstruct(model), model
-
-
-def gen_partial_sym4_case1(
-    i: int, j: int, r: int, rng: np.random.Generator, collinearity: float = 0.0
-) -> tuple[np.ndarray, FactorModel]:
-    """Random I x J x I x J tensor invariant under the (1,3) and (2,4) swaps."""
-    model = FactorModel(
-        SymmetryPattern.PSYM4_CASE1,
-        [_draw_factor(rng, i, r, collinearity), _draw_factor(rng, j, r, collinearity)],
-    )
-    return reconstruct(model), model
-
-
-def gen_partial_sym4_case2(
-    i: int, j: int, k: int, r: int, rng: np.random.Generator, collinearity: float = 0.0
-) -> tuple[np.ndarray, FactorModel]:
-    """Random I x J x I x K tensor invariant under the (1,3) swap."""
-    model = FactorModel(
-        SymmetryPattern.PSYM4_CASE2,
-        [
-            _draw_factor(rng, i, r, collinearity),
-            _draw_factor(rng, j, r, collinearity),
-            _draw_factor(rng, k, r, collinearity),
-        ],
-    )
-    return reconstruct(model), model
-
-
 def generate_problem(
     kind: str,
     dims: tuple[int, ...],
@@ -130,33 +90,26 @@ def generate_problem(
     rng: np.random.Generator,
     collinearity: float = 0.0,
 ) -> tuple[np.ndarray, FactorModel]:
-    """Dispatch to the generator for ``kind``, validating dims against it."""
-    pattern = KIND_PATTERNS.get(kind)
-    if pattern is None:
-        raise ValueError(f"unknown problem kind {kind!r} (known: {sorted(KIND_PATTERNS)})")
+    """Random tensor of ``kind`` and shape ``dims``, plus its generating model.
+
+    One factor is drawn per entry of ``pattern.factor_rows(dims)``, in that
+    order, so the tensor is exactly invariant under the kind's symmetries.
+    """
+    pattern = _pattern(kind)
     rows = pattern.factor_rows(tuple(dims))
-    if kind == "psym3":
-        return gen_partial_sym3(rows[0], rows[1], rank, rng, collinearity)
-    if kind == "fsym4":
-        return gen_full_sym4(rows[0], rank, rng, collinearity)
-    if kind == "psym4-case1":
-        return gen_partial_sym4_case1(rows[0], rows[1], rank, rng, collinearity)
-    return gen_partial_sym4_case2(rows[0], rows[1], rows[2], rank, rng, collinearity)
+    model = FactorModel(pattern, [_draw_factor(rng, n, rank, collinearity) for n in rows])
+    return reconstruct(model), model
 
 
 def init_shapes(kind: str, dims: tuple[int, ...], rank: int) -> list[tuple[int, int]]:
     """Shapes of the starting factors shared by every solver for ``kind``."""
-    pattern = KIND_PATTERNS[kind]
-    return [(rows, rank) for rows in pattern.factor_rows(tuple(dims))]
+    return [(rows, rank) for rows in _pattern(kind).factor_rows(tuple(dims))]
 
 
 def supported_solvers(kind: str) -> tuple[str, ...]:
     """Solver names runnable on ``kind`` ("pcls" always; "als" where defined)."""
-    if kind in ("psym3", "fsym4"):
-        return ("pcls", "als")
-    if kind in ("psym4-case1", "psym4-case2"):
-        return ("pcls",)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    _pattern(kind)
+    return tuple(SOLVERS[kind])
 
 
 def solve_problem(
@@ -170,15 +123,7 @@ def solve_problem(
     """Run the named solver on a tensor of the given kind."""
     if solver not in supported_solvers(kind):
         raise ValueError(f"solver {solver!r} is not available for kind {kind!r}")
-    if kind == "psym3":
-        fn = pcls3 if solver == "pcls" else als3_sym
-        return fn(x, rank, init, cfg)
-    if kind == "fsym4":
-        fn4 = pcls4_full if solver == "pcls" else als4_sym
-        return fn4(x, rank, init[0], cfg)
-    if kind == "psym4-case1":
-        return pcls4_case1(x, rank, init, cfg)
-    return pcls4_case2(x, rank, init, cfg)
+    return SOLVERS[kind][solver](x, rank, init[0] if kind == "fsym4" else init, cfg)
 
 
 @dataclass(frozen=True)
@@ -198,12 +143,11 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KIND_PATTERNS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+        pattern = _pattern(self.kind)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        KIND_PATTERNS[self.kind].factor_rows(self.dims)
+        pattern.factor_rows(self.dims)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.n_seeds < 1:

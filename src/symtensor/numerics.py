@@ -17,7 +17,6 @@ __all__ = [
     "QuarticCoefficients",
     "PinvOptions",
     "ClippedEigenvaluesWarning",
-    "least_squares",
     "pseudoinverse",
     "qr_orthogonal_factor",
     "symmetric_psd_factor",
@@ -74,18 +73,6 @@ class ClippedEigenvaluesWarning(UserWarning):
         super().__init__(
             f"clipped {count} negative eigenvalue(s), total magnitude {clipped_mass:.6e}"
         )
-
-
-def least_squares(m: np.ndarray, rhs: np.ndarray, rcond: float | None = None) -> np.ndarray:
-    """Columnwise minimizer X of ||rhs - m X||_F, minimum-norm on rank drop."""
-    m = np.asarray(m, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("coefficient matrix must be 2-D")
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(f"row mismatch: matrix has {m.shape[0]}, rhs has {rhs.shape[0]}")
-    x, _, _, _ = np.linalg.lstsq(m, rhs, rcond=rcond)
-    return x
 
 
 def pseudoinverse(m: np.ndarray, opts: PinvOptions | None = None) -> np.ndarray:

@@ -5,6 +5,18 @@ All solvers return a (FactorModel, ConvergenceTrace) pair, record one
 residual per outer iteration, and stop on tolerance, iteration cap, or a
 stalled residual. They are deterministic given their inputs and
 SolverConfig.seed (the seed only drives the dead-column redraws).
+
+Each solver is its own set-up plus a ``step()`` that performs one outer
+iteration and returns the model's factors. One private object per call,
+``_Run``, does the rest: it checks the input (shape against the symmetry
+pattern, finite entries and a finite squared norm, and the symmetry itself
+for the pcls solvers), copies the starting factors, and owns the counted
+least-squares solve, the column sweep with its dead-column redraws, and
+the loop that computes the residual, applies the stopping rules and times
+every iteration. ``_Run`` and the steps call the core and numerics
+functions through this module's globals, and ``np.linalg.lstsq`` and
+``_kernels.coordinate_sweep`` as module attributes, so rebinding one of
+those names times or replaces that layer for every solver.
 """
 from __future__ import annotations
 
@@ -29,7 +41,6 @@ from .core import (
 )
 from .numerics import (
     ClippedEigenvaluesWarning,
-    PinvOptions,
     qr_orthogonal_factor,
     symmetric_psd_factor,
 )
@@ -67,9 +78,11 @@ class SolverConfig:
 
     tol applies to the squared Frobenius residual. A run stalls when the
     relative residual change over the last stall_window iterations drops
-    to stall_eps or below. pinv_cutoff of None picks the default relative
-    singular-value threshold (see numerics.PinvOptions). seed drives only
-    the dead-column redraws inside the PCLS sweeps.
+    to stall_eps or below. pinv_cutoff is the relative singular-value
+    threshold of the least-squares solves (singular values at or below
+    pinv_cutoff * sigma_max count as zero); None picks
+    max(rows, cols) * machine epsilon. seed drives only the dead-column
+    redraws inside the PCLS sweeps.
     """
 
     max_iters: int = 20000
@@ -89,8 +102,8 @@ class SolverConfig:
             raise ValueError("inner_sweeps must be >= 1")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
-        if self.pinv_cutoff is not None:
-            PinvOptions(self.pinv_cutoff)
+        if self.pinv_cutoff is not None and not self.pinv_cutoff > 0:
+            raise ValueError("pinv_cutoff must be positive")
 
 
 @dataclass
@@ -197,24 +210,103 @@ def _scales_sane(factors: Sequence[np.ndarray]) -> bool:
     return True
 
 
-class _Loop:
-    """Shared stopping logic: tolerance, stall window, iteration cap, and the
-    factor-scale guard (``state`` returns the current factors)."""
+class _Run:
+    """One solver call: the checked input, the starting factors, and what
+    every iteration shares.
 
-    def __init__(self, cfg: SolverConfig, state=None, diag: dict | None = None):
-        self.cfg = cfg
+    The constructor checks the tensor's shape against ``pattern`` (the
+    pattern whose factor rows the starting factors have), rejects
+    non-finite entries and a squared norm that overflows, checks the
+    symmetry itself when ``symmetric`` (the pcls preconditions), and
+    copies one starting factor per label. ``lstsq`` counts rank-deficient
+    solves, ``sweep`` refits factor columns, and ``iterate`` runs a
+    solver's ``step`` until a stop.
+    """
+
+    def __init__(self, name, x, r, init, cfg, pattern, shape, labels, symmetric=False):
+        self.cfg = cfg or SolverConfig()
+        self.x = x = np.asarray(x, dtype=np.float64)
+        try:
+            rows = pattern.factor_rows(x.shape)
+        except ValueError:
+            raise ValueError(f"{name} expects an {shape} tensor, got {x.shape}") from None
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(x * x))
+        if not math.isfinite(norm_sq):
+            if not np.isfinite(x).all():
+                raise ValueError("input tensor has non-finite entries (NaN or inf)")
+            raise ValueError(
+                "input tensor's squared Frobenius norm overflows float64 "
+                f"(largest |entry| {float(np.abs(x).max()):.3g})"
+            )
+        if symmetric and not symmetry_check(x, pattern, _SYM_PRE_TOL):
+            raise ValueError(
+                f"input tensor is not {pattern.value}-symmetric within {_SYM_PRE_TOL:g}"
+            )
+        if r < 1:
+            raise ValueError("rank must be >= 1")
+        if len(init) != len(labels):
+            count = ("one", "two", "three")[len(labels) - 1]
+            raise ValueError(f"{name} needs {count} initial factors ({', '.join(labels)})")
+        self.factors = []
+        for a, label, n in zip(init, labels, rows):
+            a = np.array(a, dtype=np.float64)
+            if a.shape != (n, r):
+                raise ValueError(f"{label} must have shape ({n}, {r}), got {a.shape}")
+            self.factors.append(a)
+        self.diag: dict = {}
         self.residuals: list[float] = []
         self.elapsed: list[float] = []
-        self._t0 = 0.0
-        self._state = state
-        self._diag = diag
+        self.rng = np.random.default_rng(self.cfg.seed)
 
-    def start_iteration(self):
-        self._t0 = time.perf_counter()
+    def lstsq(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Least-squares solve that counts rank-deficient systems."""
+        sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=self.cfg.pinv_cutoff)
+        if rank < m.shape[1]:
+            self.diag["rank_deficient_solves"] = self.diag.get("rank_deficient_solves", 0) + 1
+            self.diag.setdefault("first_rank_deficient_iteration", len(self.residuals) + 1)
+        return sol
 
-    def record(self, res: float) -> StopReason | None:
-        self.elapsed.append(time.perf_counter() - self._t0)
-        self.residuals.append(res)
+    def sweep(self, a: np.ndarray, g: np.ndarray) -> None:
+        """Update every column of ``a`` in place by coordinate minimization.
+
+        Column r fits the unvec of g[:, r] as an outer product a_r a_r^T.
+        Numerically dead columns of g cannot steer their summand, so the
+        matching column of a is redrawn from a standard normal instead.
+        """
+        n = a.shape[0]
+        floor = _DEAD_COLUMN_REL * float(np.linalg.norm(g))
+        for r in range(a.shape[1]):
+            col = g[:, r]
+            if float(np.linalg.norm(col)) <= floor:
+                a[:, r] = self.rng.standard_normal(n)
+                self.diag["redrawn_columns"] = self.diag.get("redrawn_columns", 0) + 1
+                continue
+            y = np.ascontiguousarray(col.reshape(n, n, order="F"))
+            ar = np.ascontiguousarray(a[:, r])
+            _kernels.coordinate_sweep(ar, y, self.cfg.inner_sweeps)
+            a[:, r] = ar
+
+    def iterate(self, step, pattern: SymmetryPattern, defects: list[float] | None = None):
+        """Run ``step`` (one outer iteration, returning the model's factors)
+        until a stop. Each iteration's clock covers the step, the residual
+        and the stopping checks."""
+        reason = StopReason.MAX_ITERS
+        for _ in range(self.cfg.max_iters):
+            t0 = time.perf_counter()
+            factors = step()
+            self.residuals.append(residual_sq(self.x, FactorModel(pattern, factors)))
+            stop = self._stop(factors)
+            self.elapsed.append(time.perf_counter() - t0)
+            if stop is not None:
+                reason = stop
+                break
+        model = FactorModel(pattern, factors)
+        return model, ConvergenceTrace(self.residuals, self.elapsed, reason, defects, self.diag)
+
+    def _stop(self, factors: list[np.ndarray]) -> StopReason | None:
+        """Tolerance, stall window and factor-scale guard, in that order."""
+        res = self.residuals[-1]
         if res <= self.cfg.tol:
             return StopReason.CONVERGED
         w = self.cfg.stall_window
@@ -222,82 +314,34 @@ class _Loop:
             prev = self.residuals[-1 - w]
             if abs(res - prev) <= self.cfg.stall_eps * max(prev, 1e-300):
                 return StopReason.STALLED
-        if self._state is not None and not _scales_sane(self._state()):
-            if self._diag is not None:
-                self._diag["scale_guard_iteration"] = len(self.residuals)
+        if not _scales_sane(factors):
+            self.diag["scale_guard_iteration"] = len(self.residuals)
             return StopReason.STALLED
         return None
 
-    def run(self, step) -> StopReason:
-        reason = None
-        for _ in range(self.cfg.max_iters):
-            self.start_iteration()
-            reason = self.record(step())
-            if reason is not None:
-                return reason
-        return StopReason.MAX_ITERS
 
+def _als(run: _Run, f: list[np.ndarray], pattern: SymmetryPattern, defects=None):
+    """Gauss-Seidel alternating least squares on the general model ``f``.
 
-def _as_factor(a, name: str, rows: int, r: int) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    if a.shape != (rows, r):
-        raise ValueError(f"{name} must have shape ({rows}, {r}), got {a.shape}")
-    return a
-
-
-def _require_rank(r: int):
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-
-
-def _require_symmetry(x: np.ndarray, pattern: SymmetryPattern):
-    if not symmetry_check(x, pattern, _SYM_PRE_TOL):
-        raise ValueError(
-            f"input tensor is not {pattern.value}-symmetric within {_SYM_PRE_TOL:g}"
-        )
-
-
-class _Lstsq:
-    """Least-squares solve that counts rank-deficient systems for the trace."""
-
-    def __init__(self, cfg: SolverConfig, diagnostics: dict):
-        self.rcond = cfg.pinv_cutoff
-        self.diag = diagnostics
-        self.iteration = 0
-
-    def __call__(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=self.rcond)
-        if rank < m.shape[1]:
-            self.diag["rank_deficient_solves"] = self.diag.get("rank_deficient_solves", 0) + 1
-            self.diag.setdefault("first_rank_deficient_iteration", self.iteration + 1)
-        return sol
-
-
-def _sweep_columns(
-    a: np.ndarray,
-    g: np.ndarray,
-    inner_sweeps: int,
-    rng: np.random.Generator,
-    diag: dict,
-) -> None:
-    """Update every column of ``a`` in place by coordinate minimization.
-
-    Column r fits the unvec of g[:, r] as an outer product a_r a_r^T.
-    Numerically dead columns of g cannot steer their summand, so the
-    matching column of a is redrawn from a standard normal instead.
+    Factor n is refit against the mode-n matricization and the Khatri-Rao
+    chain of the other factors, highest mode first. With ``defects``, the
+    Frobenius distance between the first two factors is recorded after
+    every sweep.
     """
-    n = a.shape[0]
-    floor = _DEAD_COLUMN_REL * float(np.linalg.norm(g))
-    for r in range(a.shape[1]):
-        col = g[:, r]
-        if float(np.linalg.norm(col)) <= floor:
-            a[:, r] = rng.standard_normal(n)
-            diag["redrawn_columns"] = diag.get("redrawn_columns", 0) + 1
-            continue
-        y = np.ascontiguousarray(col.reshape(n, n, order="F"))
-        ar = np.ascontiguousarray(a[:, r])
-        _kernels.coordinate_sweep(ar, y, inner_sweeps)
-        a[:, r] = ar
+    unfolds = [mode_n_matricize(run.x, n) for n in range(len(f))]
+
+    def step() -> list[np.ndarray]:
+        for n in range(len(f)):
+            others = [f[i] for i in reversed(range(len(f))) if i != n]
+            m = others[0]
+            for g in others[1:]:
+                m = khatri_rao(m, g)
+            f[n] = run.lstsq(m, unfolds[n].T).T
+        if defects is not None:
+            defects.append(float(np.linalg.norm(f[0] - f[1])))
+        return f
+
+    return run.iterate(step, pattern, defects)
 
 
 def als3(
@@ -307,31 +351,8 @@ def als3(
     cfg: SolverConfig | None = None,
 ) -> tuple[FactorModel, ConvergenceTrace]:
     """Three-way alternating least squares with Gauss-Seidel sweeps A, B, C."""
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"als3 expects an order-3 tensor, got order {x.ndim}")
-    _require_rank(r)
-    if len(init) != 3:
-        raise ValueError("als3 needs three initial factors")
-    dims = x.shape
-    f = [_as_factor(init[i], "ABC"[i], dims[i], r) for i in range(3)]
-    unfolds = [mode_n_matricize(x, n) for n in range(3)]
-
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: f, diag=diag)
-
-    def step() -> float:
-        solve.iteration = len(loop.residuals)
-        f[0] = solve(khatri_rao(f[2], f[1]), unfolds[0].T).T
-        f[1] = solve(khatri_rao(f[2], f[0]), unfolds[1].T).T
-        f[2] = solve(khatri_rao(f[1], f[0]), unfolds[2].T).T
-        return residual_sq(x, FactorModel(SymmetryPattern.GENERAL3, list(f)))
-
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.GENERAL3, list(f))
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    run = _Run("als3", x, r, init, cfg, SymmetryPattern.GENERAL3, "order-3", "ABC")
+    return _als(run, run.factors, SymmetryPattern.GENERAL3)
 
 
 def als3_sym(
@@ -346,35 +367,9 @@ def als3_sym(
     general three-way model; the per-iteration Frobenius distance between
     the first two factors is recorded as the trace's symmetry defect.
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"als3_sym expects an I x I x K tensor, got {x.shape}")
-    _require_rank(r)
-    if len(init) != 2:
-        raise ValueError("als3_sym needs two initial factors (A, C)")
-    a0 = _as_factor(init[0], "A", x.shape[0], r)
-    c0 = _as_factor(init[1], "C", x.shape[2], r)
-    dims = x.shape
-    f = [a0, a0.copy(), c0]
-    unfolds = [mode_n_matricize(x, n) for n in range(3)]
-
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: f, diag=diag)
-    defects: list[float] = []
-
-    def step() -> float:
-        solve.iteration = len(loop.residuals)
-        f[0] = solve(khatri_rao(f[2], f[1]), unfolds[0].T).T
-        f[1] = solve(khatri_rao(f[2], f[0]), unfolds[1].T).T
-        f[2] = solve(khatri_rao(f[1], f[0]), unfolds[2].T).T
-        defects.append(float(np.linalg.norm(f[0] - f[1])))
-        return residual_sq(x, FactorModel(SymmetryPattern.GENERAL3, list(f)))
-
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.GENERAL3, list(f))
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, defects, diag)
+    run = _Run("als3_sym", x, r, init, cfg, SymmetryPattern.PSYM3, "I x I x K", "AC")
+    a, c = run.factors
+    return _als(run, [a, a.copy(), c], SymmetryPattern.GENERAL3, defects=[])
 
 
 def als4_sym(
@@ -389,39 +384,9 @@ def als4_sym(
     Gauss-Seidel least-squares updates per sweep against the mode-n
     matricizations, starting from four copies of the single initial factor.
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"als4_sym expects an order-4 tensor, got order {x.ndim}")
-    if len(set(x.shape)) != 1:
-        raise ValueError(
-            f"als4_sym seeds all factors from one matrix; needs a cubical tensor, got {x.shape}"
-        )
-    _require_rank(r)
-    a0 = _as_factor(init, "A", x.shape[0], r)
-    f = [a0.copy() for _ in range(4)]
-    unfolds = [mode_n_matricize(x, n) for n in range(4)]
-
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: f, diag=diag)
-
-    def chain(n: int) -> np.ndarray:
-        idx = [i for i in range(4) if i != n][::-1]
-        m = f[idx[0]]
-        for i in idx[1:]:
-            m = khatri_rao(m, f[i])
-        return m
-
-    def step() -> float:
-        solve.iteration = len(loop.residuals)
-        for n in range(4):
-            f[n] = solve(chain(n), unfolds[n].T).T
-        return residual_sq(x, FactorModel(SymmetryPattern.GENERAL4, list(f)))
-
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.GENERAL4, list(f))
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    run = _Run("als4_sym", x, r, [init], cfg, SymmetryPattern.FSYM4, "I x I x I x I", "A")
+    a = run.factors[0]
+    return _als(run, [a.copy() for _ in range(4)], SymmetryPattern.GENERAL4)
 
 
 def pcls3(
@@ -440,34 +405,18 @@ def pcls3(
     squares against (A (x) A). The returned model reuses A in both symmetric
     modes, so its reconstruction is symmetric regardless of convergence.
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"pcls3 expects an I x I x K tensor, got {x.shape}")
-    _require_symmetry(x, SymmetryPattern.PSYM3)
-    _require_rank(r)
-    if len(init) != 2:
-        raise ValueError("pcls3 needs two initial factors (A, C)")
-    a = _as_factor(init[0], "A", x.shape[0], r)
-    c = _as_factor(init[1], "C", x.shape[2], r)
-    t3 = mode_n_matricize(x, 2)
+    pattern = SymmetryPattern.PSYM3
+    run = _Run("pcls3", x, r, init, cfg, pattern, "I x I x K", "AC", symmetric=True)
+    a, c = run.factors
+    t3 = mode_n_matricize(run.x, 2)
 
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: [a, c], diag=diag)
-    rng = np.random.default_rng(cfg.seed)
-
-    def step() -> float:
+    def step() -> list[np.ndarray]:
         nonlocal c
-        solve.iteration = len(loop.residuals)
-        g = solve(c, t3).T
-        _sweep_columns(a, g, cfg.inner_sweeps, rng, diag)
-        c = solve(khatri_rao(a, a), t3.T).T
-        return residual_sq(x, FactorModel(SymmetryPattern.PSYM3, [a, c]))
+        run.sweep(a, run.lstsq(c, t3).T)
+        c = run.lstsq(khatri_rao(a, a), t3.T).T
+        return [a, c]
 
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.PSYM3, [a, c])
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    return run.iterate(step, pattern)
 
 
 def pcls4_case1(
@@ -482,34 +431,17 @@ def pcls4_case1(
     The square matricization factors as (A (x) A)(B (x) B)^T, so the A and B
     updates are two mirrored column-wise quartic fits.
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[0] != x.shape[2] or x.shape[1] != x.shape[3]:
-        raise ValueError(f"pcls4_case1 expects an I x J x I x J tensor, got {x.shape}")
-    _require_symmetry(x, SymmetryPattern.PSYM4_CASE1)
-    _require_rank(r)
-    if len(init) != 2:
-        raise ValueError("pcls4_case1 needs two initial factors (A, B)")
-    a = _as_factor(init[0], "A", x.shape[0], r)
-    b = _as_factor(init[1], "B", x.shape[1], r)
-    m = square_matricize(x)
+    pattern = SymmetryPattern.PSYM4_CASE1
+    run = _Run("pcls4_case1", x, r, init, cfg, pattern, "I x J x I x J", "AB", symmetric=True)
+    a, b = run.factors
+    m = square_matricize(run.x)
 
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: [a, b], diag=diag)
-    rng = np.random.default_rng(cfg.seed)
+    def step() -> list[np.ndarray]:
+        run.sweep(a, run.lstsq(khatri_rao(b, b), m.T).T)
+        run.sweep(b, run.lstsq(khatri_rao(a, a), m).T)
+        return [a, b]
 
-    def step() -> float:
-        solve.iteration = len(loop.residuals)
-        ga = solve(khatri_rao(b, b), m.T).T
-        _sweep_columns(a, ga, cfg.inner_sweeps, rng, diag)
-        gb = solve(khatri_rao(a, a), m).T
-        _sweep_columns(b, gb, cfg.inner_sweeps, rng, diag)
-        return residual_sq(x, FactorModel(SymmetryPattern.PSYM4_CASE1, [a, b]))
-
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.PSYM4_CASE1, [a, b])
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    return run.iterate(step, pattern)
 
 
 def pcls4_case2(
@@ -525,38 +457,21 @@ def pcls4_case2(
     (A (x) A)(B (x) C)^T; B and C are then refit by plain least squares
     against the mode-2 and mode-4 matricizations.
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[0] != x.shape[2]:
-        raise ValueError(f"pcls4_case2 expects an I x J x I x K tensor, got {x.shape}")
-    _require_symmetry(x, SymmetryPattern.PSYM4_CASE2)
-    _require_rank(r)
-    if len(init) != 3:
-        raise ValueError("pcls4_case2 needs three initial factors (A, B, C)")
-    a = _as_factor(init[0], "A", x.shape[0], r)
-    b = _as_factor(init[1], "B", x.shape[1], r)
-    c = _as_factor(init[2], "C", x.shape[3], r)
-    m = square_matricize(x)
-    x2 = mode_n_matricize(x, 1)
-    x4 = mode_n_matricize(x, 3)
+    pattern = SymmetryPattern.PSYM4_CASE2
+    run = _Run("pcls4_case2", x, r, init, cfg, pattern, "I x J x I x K", "ABC", symmetric=True)
+    a, b, c = run.factors
+    m = square_matricize(run.x)
+    x2 = mode_n_matricize(run.x, 1)
+    x4 = mode_n_matricize(run.x, 3)
 
-    diag: dict = {}
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: [a, b, c], diag=diag)
-    rng = np.random.default_rng(cfg.seed)
-
-    def step() -> float:
+    def step() -> list[np.ndarray]:
         nonlocal b, c
-        solve.iteration = len(loop.residuals)
-        ga = solve(khatri_rao(b, c), m.T).T
-        _sweep_columns(a, ga, cfg.inner_sweeps, rng, diag)
-        b = solve(khatri_rao(c, khatri_rao(a, a)), x2.T).T
-        c = solve(khatri_rao(a, khatri_rao(b, a)), x4.T).T
-        return residual_sq(x, FactorModel(SymmetryPattern.PSYM4_CASE2, [a, b, c]))
+        run.sweep(a, run.lstsq(khatri_rao(b, c), m.T).T)
+        b = run.lstsq(khatri_rao(c, khatri_rao(a, a)), x2.T).T
+        c = run.lstsq(khatri_rao(a, khatri_rao(b, a)), x4.T).T
+        return [a, b, c]
 
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.PSYM4_CASE2, [a, b, c])
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    return run.iterate(step, pattern)
 
 
 def pcls4_full(
@@ -575,48 +490,34 @@ def pcls4_full(
     exact fixed point. Residuals are tensor-space; the factor-space
     residuals ||E - (A (x) A) Q||_F^2 land in diagnostics["e_residuals"].
     """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or len(set(x.shape)) != 1:
-        raise ValueError(f"pcls4_full expects an I x I x I x I tensor, got {x.shape}")
-    _require_symmetry(x, SymmetryPattern.FSYM4)
-    _require_rank(r)
-    n = x.shape[0]
+    pattern = SymmetryPattern.FSYM4
+    run = _Run("pcls4_full", x, r, [init], cfg, pattern, "I x I x I x I", "A", symmetric=True)
+    n = run.x.shape[0]
     if r > n * n:
         raise ValueError(f"rank {r} exceeds I^2 = {n * n}")
-    a = _as_factor(init, "A", n, r)
-
-    diag: dict = {}
+    a = run.factors[0]
+    diag = run.diag
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ClippedEigenvaluesWarning)
-        e = symmetric_psd_factor(square_matricize(x), r)
+        e = symmetric_psd_factor(square_matricize(run.x), r)
     for w in caught:
         if isinstance(w.message, ClippedEigenvaluesWarning):
             diag["clipped_mass"] = w.message.clipped_mass
             diag["clipped_count"] = w.message.count
 
-    solve = _Lstsq(cfg, diag)
-    loop = _Loop(cfg, state=lambda: [a], diag=diag)
-    rng = np.random.default_rng(cfg.seed)
     e_residuals: list[float] = []
     diag["e_residuals"] = e_residuals
+    q = qr_orthogonal_factor(run.lstsq(khatri_rao(a, a), e))
 
-    q = qr_orthogonal_factor(solve(khatri_rao(a, a), e))
-
-    def step() -> float:
+    def step() -> list[np.ndarray]:
         nonlocal q
-        solve.iteration = len(loop.residuals)
         if float(np.linalg.norm(q.T @ q - np.eye(r))) > _ORTHO_DRIFT_TOL:
             q = qr_orthogonal_factor(q)
             diag["reorthogonalized"] = diag.get("reorthogonalized", 0) + 1
-        g = e @ q.T
-        _sweep_columns(a, g, cfg.inner_sweeps, rng, diag)
-        p = solve(khatri_rao(a, a), e)
-        q = qr_orthogonal_factor(p)
+        run.sweep(a, e @ q.T)
+        q = qr_orthogonal_factor(run.lstsq(khatri_rao(a, a), e))
         d = e - khatri_rao(a, a) @ q
         e_residuals.append(float(np.sum(d * d)))
-        return residual_sq(x, FactorModel(SymmetryPattern.FSYM4, [a]))
+        return [a]
 
-    reason = loop.run(step)
-    model = FactorModel(SymmetryPattern.FSYM4, [a])
-    return model, ConvergenceTrace(loop.residuals, loop.elapsed, reason, None, diag)
+    return run.iterate(step, pattern)

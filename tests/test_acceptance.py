@@ -9,8 +9,10 @@ its clauses were calibrated against (constants below).
 """
 import itertools
 import math
+import multiprocessing
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from symtensor import (
     als3,
     als3_sym,
     als4_sym,
-    gen_partial_sym3,
+    generate_problem,
     initialize,
     iterations_to_threshold,
     mode_n_matricize,
@@ -75,70 +77,93 @@ def _by_seed(summary):
 # --------------------------------------------------------------------- #
 # Shared expensive runs                                                   #
 # --------------------------------------------------------------------- #
+#
+# The solver runs behind AC-1..AC-5 are independent and deterministic, so
+# they start together on two worker processes and each fixture waits for
+# its own; where a run executes changes none of its results. conftest.py
+# pins BLAS to one thread per process, so the workers do not oversubscribe
+# the cores. The longest jobs go first. A fixture that waits longer than
+# _JOB_WAIT_S for its jobs fails instead of hanging on a stuck worker.
+_JOB_WAIT_S = 1800.0
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def _random_start(i):
+    """pcls3 and als3_sym from random start i on the fixed tensor."""
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0, FIXED_TENSOR_SEED)))
+    x, _ = generate_problem("psym3", (17, 17, 18), 17, rng, RANDOM_START_COLLINEARITY)
+    cfg = SolverConfig(max_iters=20000, tol=1e-10)
+    init = initialize(
+        InitStrategy.random_gaussian(),
+        [(17, 17), (18, 17)],
+        np.random.default_rng(np.random.SeedSequence((0, 1, i))),
+    )
+    _, tp = pcls3(x, 17, [f.copy() for f in init], cfg)
+    _, ta = als3_sym(x, 17, [f.copy() for f in init], cfg)
+    return tp, ta
 
 
 @pytest.fixture(scope="module")
-def sym3_perturbed():
-    spec = ExperimentSpec(
+def comparison_runs(tmp_path_factory):
+    sym3 = ExperimentSpec(
         kind="psym3", dims=(17, 17, 18), rank=17, solvers=("pcls", "als"),
         n_seeds=10, base_seed=0, init="perturbed", init_sigma=0.1,
         collinearity=PAIRWISE_COLLINEARITY,
         config=SolverConfig(max_iters=20000, tol=1e-10),
     )
-    t0 = time.perf_counter()
-    summary = run_experiment(spec)
-    return summary, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def fixed_tensor_random_starts():
-    """One 17 x 17 x 18 rank-17 tensor, both solvers from 20 random starts."""
-    rng = np.random.default_rng(np.random.SeedSequence((0, 0, FIXED_TENSOR_SEED)))
-    x, _ = gen_partial_sym3(17, 18, 17, rng, RANDOM_START_COLLINEARITY)
-    cfg = SolverConfig(max_iters=20000, tol=1e-10)
-    t0 = time.perf_counter()
-    runs = []
-    for i in range(20):
-        init = initialize(
-            InitStrategy.random_gaussian(),
-            [(17, 17), (18, 17)],
-            np.random.default_rng(np.random.SeedSequence((0, 1, i))),
-        )
-        _, tp = pcls3(x, 17, [f.copy() for f in init], cfg)
-        _, ta = als3_sym(x, 17, [f.copy() for f in init], cfg)
-        runs.append((tp, ta))
-    return runs, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def fsym4_perturbed(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fsym4_runs")
-    spec = ExperimentSpec(
+    fsym4 = ExperimentSpec(
         kind="fsym4", dims=(10, 10, 10, 10), rank=10, solvers=("pcls", "als"),
         n_seeds=10, base_seed=0, init="perturbed", init_sigma=0.1,
         collinearity=FOURTH_ORDER_COLLINEARITY,
         config=SolverConfig(max_iters=20000, tol=1e-10),
-        out_dir=str(out),
+        out_dir=str(tmp_path_factory.mktemp("fsym4_runs")),
     )
-    t0 = time.perf_counter()
-    summary = run_experiment(spec)
-    return summary, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def size_sweep():
-    """Random starts, averaged per size: the wall-time trend regime."""
-    results = {}
-    t0 = time.perf_counter()
-    for n in (10, 20, 30):
-        spec = ExperimentSpec(
+    # random starts, averaged per size: the wall-time trend regime
+    sweep = {
+        n: ExperimentSpec(
             kind="psym3", dims=(n, n, n), rank=n, solvers=("pcls", "als"),
             n_seeds=5, base_seed=0, init="random",
             collinearity=SWEEP_COLLINEARITY,
             config=SolverConfig(max_iters=20000, tol=1e-10),
         )
-        results[n] = run_experiment(spec)
-    return results, time.perf_counter() - t0
+        for n in (30, 20, 10)
+    }
+    pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"))
+    yield {
+        "sym3": pool.submit(_timed, run_experiment, sym3),
+        "fsym4": pool.submit(_timed, run_experiment, fsym4),
+        "sweep": {n: pool.submit(_timed, run_experiment, spec) for n, spec in sweep.items()},
+        "starts": [pool.submit(_timed, _random_start, i) for i in range(20)],
+    }
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def sym3_perturbed(comparison_runs):
+    return comparison_runs["sym3"].result(_JOB_WAIT_S)
+
+
+@pytest.fixture(scope="module")
+def fixed_tensor_random_starts(comparison_runs):
+    """One 17 x 17 x 18 rank-17 tensor, both solvers from 20 random starts."""
+    done = [job.result(_JOB_WAIT_S) for job in comparison_runs["starts"]]
+    return [runs for runs, _ in done], sum(t for _, t in done)
+
+
+@pytest.fixture(scope="module")
+def fsym4_perturbed(comparison_runs):
+    return comparison_runs["fsym4"].result(_JOB_WAIT_S)
+
+
+@pytest.fixture(scope="module")
+def size_sweep(comparison_runs):
+    done = {n: job.result(_JOB_WAIT_S) for n, job in comparison_runs["sweep"].items()}
+    return {n: summary for n, (summary, _) in done.items()}, sum(t for _, t in done.values())
 
 
 # --------------------------------------------------------------------- #

@@ -179,6 +179,21 @@ def test_decompose_rejects_asymmetric_input_for_pcls(tmp_path):
     assert "not psym3-symmetric" in res.stderr
 
 
+def test_decompose_rejects_overflowing_input(tmp_path):
+    x, _ = symtensor.generate_problem("psym3", (4, 4, 5), 2, np.random.default_rng(62))
+    x[0, 0, 0] = 1e308
+    write_tensor(str(tmp_path / "big.txt"), x)
+    res = run_cli(
+        "decompose", "--input", "big.txt", "--solver", "pcls", "--pattern", "psym3",
+        "--rank", "2", cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error:") and "overflows" in res.stderr
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_decompose_unavailable_solver_is_usage_error(tmp_path):
     res = run_cli(
         "decompose", "--input", "whatever.txt", "--solver", "als",

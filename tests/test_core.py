@@ -264,6 +264,12 @@ def test_symmetry_check_rejects_asymmetric():
     x = rng.standard_normal((4, 4, 3))
     assert not symmetry_check(x, SymmetryPattern.PSYM3)
     assert symmetry_defect(x, SymmetryPattern.PSYM3) > 0.1
+    # a NaN entry, and an inf entry that meets itself (inf - inf is NaN)
+    for bad in (np.nan, np.inf):
+        x = np.ones((3, 3, 4))
+        x[0, 0, 1] = bad
+        assert not symmetry_check(x, SymmetryPattern.PSYM3)
+        assert np.isnan(symmetry_defect(x, SymmetryPattern.PSYM3))
 
 
 def test_symmetry_check_shape_mismatch_is_false_not_error():

@@ -18,7 +18,6 @@ from symtensor import (
     PinvOptions,
     QuarticCoefficients,
     build_coordinate_quartic,
-    least_squares,
     pseudoinverse,
     qr_orthogonal_factor,
     quartic_global_min,
@@ -220,39 +219,8 @@ def test_build_coordinate_quartic_validates():
 
 
 # --------------------------------------------------------------------- #
-# Least squares / pseudoinverse / QR                                     #
+# Pseudoinverse / QR                                                     #
 # --------------------------------------------------------------------- #
-
-
-def test_least_squares_identity_and_mean():
-    rhs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(least_squares(np.eye(2), rhs), rhs, atol=1e-14)
-    x = least_squares(np.array([[1.0], [1.0]]), np.array([[1.0], [3.0]]))
-    np.testing.assert_allclose(x, [[2.0]], atol=1e-14)
-
-
-def test_least_squares_zero_column_min_norm():
-    m = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-    x = least_squares(m, np.array([[1.0], [1.0], [2.0]]))
-    assert abs(x[1, 0]) < 1e-14
-
-
-def test_least_squares_dimension_mismatch():
-    with pytest.raises(ValueError):
-        least_squares(np.ones((3, 2)), np.ones((4, 1)))
-
-
-def test_least_squares_perturbation_optimality():
-    rng = np.random.default_rng(104)
-    m = rng.standard_normal((10, 4))
-    rhs = rng.standard_normal((10, 2))
-    x = least_squares(m, rhs)
-    base = float(np.sum((rhs - m @ x) ** 2))
-    for _ in range(100):
-        d = rng.standard_normal(x.shape)
-        d *= 1e-4 / np.linalg.norm(d)
-        perturbed = float(np.sum((rhs - m @ (x + d)) ** 2))
-        assert perturbed >= base - 1e-12
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (10, 7), (7, 10), (50, 50), (50, 30)])
@@ -442,3 +410,25 @@ def test_sweep_against_roots_oracle():
     got = a0.copy()
     _kernels.coordinate_sweep(got, y, 1)
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
+
+
+def test_sweep_bitwise_equals_array_loop():
+    """The list-based sweep does the array loop's arithmetic in its order."""
+    from symtensor import _kernels
+
+    rng = np.random.default_rng(110)
+    for n, sweeps in ((1, 1), (2, 2), (6, 3), (17, 1)):
+        a0 = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        y = rng.standard_normal((n, n))
+        expect = a0.copy()
+        for _ in range(sweeps):
+            for i in range(n):
+                s2 = s1 = 0.0
+                for j in range(n):
+                    if j != i:
+                        s2 += expect[j] * expect[j]
+                        s1 += (y[i, j] + y[j, i]) * expect[j]
+                expect[i] = _kernels.quartic_min(1.0, 0.0, 2.0 * s2 - 2.0 * y[i, i], -2.0 * s1, 0.0)[0]
+        got = a0.copy()
+        _kernels.coordinate_sweep(got, y, sweeps)
+        assert np.array_equal(got, expect)

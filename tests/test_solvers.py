@@ -3,9 +3,12 @@
 Decomposable problems are built directly from random factor models, so the
 exact minimizers are known and truth-start runs must hold still.
 """
+import time
+
 import numpy as np
 import pytest
 
+from symtensor import solvers
 from symtensor import (
     ConvergenceTrace,
     FactorModel,
@@ -290,6 +293,22 @@ def test_scale_guard_stops_before_overflow():
     assert all(np.isfinite(f).all() for f in out.factors)
 
 
+def test_elapsed_covers_the_stopping_checks(monkeypatch):
+    guard = solvers._scales_sane
+
+    def slow_guard(factors):
+        time.sleep(0.02)
+        return guard(factors)
+
+    monkeypatch.setattr(solvers, "_scales_sane", slow_guard)
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((5, 5, 4))
+    init = [rng.standard_normal((5, 2)), rng.standard_normal((4, 2))]
+    _, trace = als3_sym(x, 2, init, SolverConfig(max_iters=3, tol=1e-300))
+    assert trace.iterations == 3
+    assert min(trace.elapsed) >= 0.02
+
+
 def test_pcls3_is_deterministic():
     x, model = make_problem(SymmetryPattern.PSYM3, (6, 6, 5), 3, seed=29)
     init = _perturbed(model, 0.3, 29)
@@ -332,6 +351,17 @@ def test_shape_preconditions():
         als3(rng.standard_normal((3, 3)), 1, [np.ones((3, 1))] * 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_non_finite_or_overflowing_input_rejected(name, bad):
+    solver, pattern, dims = SOLVERS[name]
+    x, model = make_problem(pattern, dims, 2, seed=39)
+    x[(0,) * x.ndim] = bad
+    problem = "overflows" if np.isfinite(bad) else "non-finite"
+    with pytest.raises(ValueError, match=problem):
+        solver(x, 2, truth_init(name, model), SolverConfig(max_iters=3))
+
+
 def test_pcls4_full_rank_cap():
     x, _ = make_problem(SymmetryPattern.FSYM4, (2, 2, 2, 2), 1, seed=33)
     with pytest.raises(ValueError, match="exceeds"):
@@ -352,6 +382,7 @@ def test_solver_config_validation():
         {"inner_sweeps": 0},
         {"stall_window": 0},
         {"pinv_cutoff": -0.5},
+        {"pinv_cutoff": 0.0},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
