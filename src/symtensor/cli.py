@@ -36,6 +36,10 @@ _STOP_EXIT_CODES = {
     StopReason.STALLED: 4,
 }
 
+# Diagnostics counting what a solver worked around; decompose reports each
+# one that is nonzero.
+_WORKAROUND_COUNTS = ("rank_deficient_solves", "redrawn_columns", "clipped_count")
+
 _PRESETS: dict[str, dict] = {
     # Third-order partially symmetric comparison, good starting point.
     "example1": dict(
@@ -196,11 +200,15 @@ def cmd_decompose(args) -> int:
     write_trace_csv(trace, args.trace)
     print(args.output_model)
     print(args.trace)
-    print(
-        f"{args.solver}: {trace.stop_reason.value} after {trace.iterations} iterations, "
+    notes = [
+        f"{trace.stop_reason.value} after {trace.iterations} iterations",
         f"residual_sq {trace.final_residual:.6e}",
-        file=sys.stderr,
-    )
+    ]
+    diag = trace.diagnostics
+    if "scale_guard_iteration" in diag:
+        notes.append(f"scale guard at iteration {diag['scale_guard_iteration']}")
+    notes += [f"{k} {diag[k]}" for k in _WORKAROUND_COUNTS if diag.get(k)]
+    print(f"{args.solver}: " + ", ".join(notes), file=sys.stderr)
     return _STOP_EXIT_CODES[trace.stop_reason]
 
 

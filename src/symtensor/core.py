@@ -209,11 +209,29 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
+def _model_product(model: FactorModel) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The model's entries as one GEMM ``L @ R.T`` of two Khatri-Rao halves.
+
+    Order 3 takes L = f0 (.) f1 and R = f2, so the product holds the tensor
+    with modes (0, 1, 2). Order 4 pairs the modes that share a factor in the
+    symmetric patterns, L = f0 (.) f2 and R = f1 (.) f3, so the product is
+    the square matricization, with modes (0, 2, 1, 3). Returns the product
+    and that mode order (a permutation that is its own inverse).
+    """
+    f = [model.factors[i] for i in model.pattern.mode_factors]
+    if model.pattern.order == 3:
+        return khatri_rao(f[0], f[1]) @ f[2].T, (0, 1, 2)
+    return khatri_rao(f[0], f[2]) @ khatri_rao(f[1], f[3]).T, (0, 2, 1, 3)
+
+
 def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Sum of rank-one outer products defined by the model.
 
-    The symmetric mode pairs are multiplied first, so the output is exactly
-    (bitwise) invariant under the pattern's paired-mode swaps.
+    The symmetric mode pairs are multiplied first (one Khatri-Rao product
+    per pair, then one GEMM), so the output is exactly (bitwise) invariant
+    under the pattern's paired-mode swaps. :func:`residual_sq` uses the same
+    product, so the residual of a model against its own reconstruction is
+    exactly zero.
 
     Parameters
     ----------
@@ -223,22 +241,26 @@ def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.n
     """
     if dims is not None and tuple(dims) != model.dims:
         raise ValueError(f"model generates dims {model.dims}, requested {tuple(dims)}")
-    f = [model.factors[i] for i in model.pattern.mode_factors]
-    if model.pattern.order == 3:
-        pair = np.einsum("ir,jr->ijr", f[0], f[1])
-        return np.einsum("ijr,kr->ijk", pair, f[2])
-    pair13 = np.einsum("ir,kr->ikr", f[0], f[2])
-    pair24 = np.einsum("jr,lr->jlr", f[1], f[3])
-    return np.einsum("ikr,jlr->ijkl", pair13, pair24)
+    p, perm = _model_product(model)
+    shape = tuple(model.dims[m] for m in perm)
+    return np.ascontiguousarray(p.reshape(shape).transpose(perm))
 
 
 def residual_sq(x: np.ndarray, model: FactorModel) -> float:
-    """Squared Frobenius norm of x minus the model reconstruction."""
+    """Squared Frobenius norm of x minus the model reconstruction.
+
+    The tensor is subtracted in place from the model's GEMM product, read
+    through a transposed view of x, so no full-size temporary is made
+    beyond that product, whatever x's memory order.
+    """
     x = np.asarray(x)
     if x.shape != model.dims:
         raise ValueError(f"tensor shape {x.shape} does not match model dims {model.dims}")
-    d = x - reconstruct(model)
-    return float(np.sum(d * d))
+    p, perm = _model_product(model)
+    d = p.reshape(tuple(x.shape[m] for m in perm))
+    np.subtract(d, x.transpose(perm), out=d)
+    d = d.reshape(-1)
+    return float(d @ d)
 
 
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:

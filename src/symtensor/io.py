@@ -52,7 +52,11 @@ def _write_values(fh: IO[str], values: np.ndarray, per_line: int = 6) -> None:
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
-    """Parse a tensor text file into a float64 array."""
+    """Parse a tensor text file into a float64 array.
+
+    Raises ValueError on a malformed header, a wrong value count, or a NaN
+    or infinite entry (including tokens such as ``1e400`` that overflow).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         tok = _tokens(fh)
         try:
@@ -71,7 +75,15 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     count = int(np.prod(dims))
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} values for dims {dims}, found {len(values)}")
-    return np.array(values, dtype=np.float64).reshape(dims, order="F")
+    flat = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{path}: entry {k} (0-based, column-major) is {flat[k]}; "
+            "tensor entries must be finite"
+        )
+    return flat.reshape(dims, order="F")
 
 
 def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:

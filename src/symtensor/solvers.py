@@ -13,10 +13,15 @@ pattern, finite entries and a finite squared norm, and the symmetry itself
 for the pcls solvers), copies the starting factors, and owns the counted
 least-squares solve, the column sweep with its dead-column redraws, and
 the loop that computes the residual, applies the stopping rules and times
-every iteration. ``_Run`` and the steps call the core and numerics
-functions through this module's globals, and ``np.linalg.lstsq`` and
-``_kernels.coordinate_sweep`` as module attributes, so rebinding one of
-those names times or replaces that layer for every solver.
+every iteration. The solve reduces a tall system ``m x = rhs`` by the thin
+QR ``m = QR`` and hands ``np.linalg.lstsq`` the square ``R`` and
+``Q.T @ rhs`` (one call per solve, same right-hand sides, the cutoff of the
+unreduced system); square and wide systems go to it unchanged. The residual
+is one Khatri-Rao GEMM (see :func:`core.residual_sq`). ``_Run`` and the
+steps call the core and numerics functions through this module's globals,
+and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module
+attributes, so rebinding one of those names times or replaces that layer
+for every solver.
 """
 from __future__ import annotations
 
@@ -260,8 +265,25 @@ class _Run:
         self.rng = np.random.default_rng(self.cfg.seed)
 
     def lstsq(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Least-squares solve that counts rank-deficient systems."""
-        sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=self.cfg.pinv_cutoff)
+        """Minimum-norm least-squares solve that counts rank-deficient systems.
+
+        A tall ``m`` (more rows than columns) is reduced first: with its thin
+        QR ``m = QR``, ``np.linalg.lstsq`` receives the square ``R`` and
+        ``Q.T @ rhs``. R has m's singular values and Q spans m's range, so
+        the solution and the rank are those of the unreduced system. The
+        cutoff comes from m's shape (``pinv_cutoff``, or machine epsilon
+        times max(rows, cols) of m), not from R's, which would keep more
+        singular values. Square and wide systems go to ``np.linalg.lstsq``
+        as they are.
+        """
+        cut = self.cfg.pinv_cutoff
+        if cut is None:
+            cut = np.finfo(np.float64).eps * max(m.shape)
+        a, b = m, rhs
+        if m.shape[0] > m.shape[1]:
+            q, a = np.linalg.qr(m)
+            b = q.T @ rhs
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=cut)
         if rank < m.shape[1]:
             self.diag["rank_deficient_solves"] = self.diag.get("rank_deficient_solves", 0) + 1
             self.diag.setdefault("first_rank_deficient_iteration", len(self.residuals) + 1)
@@ -515,8 +537,9 @@ def pcls4_full(
             q = qr_orthogonal_factor(q)
             diag["reorthogonalized"] = diag.get("reorthogonalized", 0) + 1
         run.sweep(a, e @ q.T)
-        q = qr_orthogonal_factor(run.lstsq(khatri_rao(a, a), e))
-        d = e - khatri_rao(a, a) @ q
+        aa = khatri_rao(a, a)
+        q = qr_orthogonal_factor(run.lstsq(aa, e))
+        d = e - aa @ q
         e_residuals.append(float(np.sum(d * d)))
         return [a]
 

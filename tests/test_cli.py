@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 import symtensor
-from symtensor import read_model, read_tensor, residual_sq, symmetry_check, write_tensor
+from symtensor import (
+    FactorModel,
+    read_model,
+    read_tensor,
+    residual_sq,
+    symmetry_check,
+    write_model,
+    write_tensor,
+)
 from symtensor.core import SymmetryPattern
 
 
@@ -192,6 +200,53 @@ def test_decompose_rejects_overflowing_input(tmp_path):
     assert res.stderr.startswith("error:") and "overflows" in res.stderr
     assert not (tmp_path / "model.txt").exists()
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_decompose_rejects_non_finite_file_at_read(tmp_path):
+    (tmp_path / "bad.txt").write_text("3 2 2 1\n1 1 nan 1\n")
+    res = run_cli(
+        "decompose", "--input", "bad.txt", "--solver", "als", "--pattern", "psym3",
+        "--rank", "1", cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error:") and "bad.txt: entry 2 " in res.stderr
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_decompose_summary_names_scale_guard_and_workarounds(tmp_path):
+    rng = np.random.default_rng(40)
+    x, truth = symtensor.generate_problem("psym3", (6, 6, 5), 2, rng)
+    write_tensor(str(tmp_path / "x.txt"), x)
+    a, c = truth.factors
+    # deep in the scale-split gauge: the factor-scale guard stops the run
+    tiny_c = FactorModel(SymmetryPattern.PSYM3, [a, 1e-70 * c])
+    # a dead column: rank-deficient solves and a redrawn column
+    dead = FactorModel(SymmetryPattern.PSYM3, [a * [1.0, 0.0], c * [1.0, 0.0]])
+    write_model(str(tmp_path / "tiny.txt"), tiny_c)
+    write_model(str(tmp_path / "dead.txt"), dead)
+
+    res = run_cli(
+        "decompose", "--input", "x.txt", "--solver", "pcls", "--pattern", "psym3",
+        "--rank", "2", "--init-model", "tiny.txt", "--tol", "1e-300", cwd=tmp_path,
+    )
+    assert res.returncode == 4, res.stderr
+    (line,) = res.stderr.splitlines()
+    iters = int(line.split(" after ")[1].split()[0])
+    assert line.startswith("pcls: Stalled after ")
+    assert f", scale guard at iteration {iters}" in line
+
+    res = run_cli(
+        "decompose", "--input", "x.txt", "--solver", "pcls", "--pattern", "psym3",
+        "--rank", "2", "--init-model", "dead.txt", "--tol", "1e-300",
+        "--max-iters", "3", cwd=tmp_path,
+    )
+    assert res.returncode == 3, res.stderr
+    (line,) = res.stderr.splitlines()
+    assert "scale guard" not in line
+    assert ", rank_deficient_solves " in line and ", redrawn_columns " in line
+    assert "clipped_count" not in line
 
 
 def test_decompose_unavailable_solver_is_usage_error(tmp_path):

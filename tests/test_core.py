@@ -184,23 +184,41 @@ def test_residual_sq_shape_mismatch():
         residual_sq(np.zeros((2, 2, 4)), model)
 
 
-@pytest.mark.parametrize(
-    "pattern,rows",
-    [
-        (SymmetryPattern.GENERAL3, (3, 4, 5)),
-        (SymmetryPattern.PSYM3, (4, 3)),
-        (SymmetryPattern.PSYM4_CASE1, (3, 4)),
-        (SymmetryPattern.PSYM4_CASE2, (3, 4, 2)),
-        (SymmetryPattern.FSYM4, (3,)),
-        (SymmetryPattern.GENERAL4, (2, 3, 4, 2)),
-    ],
-)
+_PATTERN_ROWS = [
+    (SymmetryPattern.GENERAL3, (3, 4, 5)),
+    (SymmetryPattern.PSYM3, (4, 3)),
+    (SymmetryPattern.PSYM4_CASE1, (3, 4)),
+    (SymmetryPattern.PSYM4_CASE2, (3, 4, 2)),
+    (SymmetryPattern.FSYM4, (3,)),
+    (SymmetryPattern.GENERAL4, (2, 3, 4, 2)),
+]
+
+
+@pytest.mark.parametrize("pattern,rows", _PATTERN_ROWS)
 def test_reconstruct_matches_outer_product_oracle(pattern, rows):
     rng = np.random.default_rng(7)
     factors = [rng.standard_normal((n, 2)) for n in rows]
     model = FactorModel(pattern, factors)
     expanded = [factors[i] for i in pattern.mode_factors]
     np.testing.assert_allclose(reconstruct(model), reconstruct_oracle(expanded), atol=1e-13)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed-view"])
+@pytest.mark.parametrize("pattern,rows", _PATTERN_ROWS)
+def test_residual_sq_matches_outer_product_oracle(pattern, rows, layout):
+    rng = np.random.default_rng(13)
+    factors = [rng.standard_normal((n, 3)) for n in rows]
+    model = FactorModel(pattern, factors)
+    oracle = reconstruct_oracle([factors[i] for i in pattern.mode_factors])
+    x = oracle + 0.1 * rng.standard_normal(oracle.shape)
+    expected = float(np.sum((x - oracle) ** 2))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "transposed-view":
+        perm = (1, 0, *range(2, x.ndim))
+        x = np.ascontiguousarray(x.transpose(perm)).transpose(perm)
+        assert not (x.flags.c_contiguous or x.flags.f_contiguous)
+    assert residual_sq(x, model) == pytest.approx(expected, rel=1e-12)
 
 
 def test_reconstruct_zero_column_contributes_nothing():

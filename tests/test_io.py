@@ -49,6 +49,22 @@ def test_tensor_rejects_wrong_count(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize(
+    "body,index,value",
+    [("nan 1 1 inf", 0, "nan"), ("1 1 inf 1", 2, "inf"), ("1 -inf 1 1", 1, "-inf"),
+     ("1 1 1 1e400", 3, "inf")],
+    ids=["nan-first", "inf", "minus-inf", "overflowing-token"],
+)
+def test_tensor_rejects_non_finite_entries(tmp_path, body, index, value):
+    path = tmp_path / "t.txt"
+    path.write_text("3 2 2 1\n" + body + "\n")
+    with pytest.raises(ValueError) as info:
+        read_tensor(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: entry {index} ")
+    assert f" is {value};" in msg
+
+
 def test_tensor_rejects_empty(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# nothing here\n")

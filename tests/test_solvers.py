@@ -3,10 +3,16 @@
 Decomposable problems are built directly from random factor models, so the
 exact minimizers are known and truth-start runs must hold still.
 """
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+
+import symtensor
 
 from symtensor import solvers
 from symtensor import (
@@ -318,6 +324,102 @@ def test_pcls3_is_deterministic():
     assert t1.residuals == t2.residuals
     assert np.array_equal(m1.factors[0], m2.factors[0])
     assert np.array_equal(m1.factors[1], m2.factors[1])
+
+
+def _with_spectrum(rng, rows, singular_values):
+    """A rows x len(s) matrix with the given singular values."""
+    k = len(singular_values)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (u * singular_values) @ v.T
+
+
+def _zero_and_duplicate_columns(rng):
+    m = rng.standard_normal((40, 6))
+    m[:, 2] = 0.0
+    m[:, 4] = m[:, 1]
+    return m
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize(
+    "build,cutoff,rank",
+    [
+        (_zero_and_duplicate_columns, None, 4),
+        # 1e-14 lies between eps*17 and eps*300: only the unreduced system's
+        # cutoff drops it
+        (lambda rng: _with_spectrum(rng, 300, [1.0] * 16 + [1e-14]), None, 16),
+        (lambda rng: _with_spectrum(rng, 50, np.logspace(0, -9, 8)), 1e-6, 5),
+        (lambda rng: rng.standard_normal((30, 7)), None, 7),
+        (lambda rng: rng.standard_normal((5, 12)), None, 5),
+    ],
+    ids=["zero-and-duplicate-columns", "graded-1e-14", "explicit-cutoff", "tall", "wide"],
+)
+def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, cutoff, rank):
+    rng = np.random.default_rng(42)
+    m = build(rng)
+    rhs = rng.standard_normal((m.shape[0], 9))
+    plain = np.linalg.lstsq
+    ref, _, ref_rank, _ = plain(m, rhs, rcond=cutoff)
+    assert ref_rank == rank
+    ranks = []
+
+    def counted(a, b, rcond=None):
+        out = plain(a, b, rcond=rcond)
+        assert b.shape[1] == rhs.shape[1]
+        ranks.append(out[2])
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    x, _ = make_problem(SymmetryPattern.PSYM3, (2, 2, 2), 1, seed=0)
+    run = solvers._Run(
+        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff),
+        SymmetryPattern.PSYM3, "I x I x K", "AC",
+    )
+    sol = run.lstsq(m, rhs)
+    assert ranks == [rank]
+    assert run.diag.get("rank_deficient_solves", 0) == int(rank < m.shape[1])
+    assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+_THREADS_SCRIPT = """
+import json
+import numpy as np
+from symtensor import SolverConfig, als3_sym, generate_problem, pcls3
+
+rng = np.random.default_rng(51)
+x, truth = generate_problem("psym3", (48, 48, 40), 6, rng, 0.5)
+init = [f + 0.1 * rng.standard_normal(f.shape) for f in truth.factors]
+out = {}
+for solver in (pcls3, als3_sym):
+    _, trace = solver(x, 6, [f.copy() for f in init], SolverConfig(max_iters=30))
+    out[solver.__name__] = [trace.stop_reason.value, trace.residuals]
+print(json.dumps(out))
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(symtensor.__file__)))
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert res.returncode == 0, res.stderr
+        results.append(json.loads(res.stdout))
+    one, two = results
+    assert one.keys() == two.keys() == {"pcls3", "als3_sym"}
+    for name in one:
+        (stop1, res1), (stop2, res2) = one[name], two[name]
+        assert stop1 == stop2
+        assert len(res1) == len(res2)
+        np.testing.assert_allclose(res2, res1, rtol=1e-9, atol=0)
 
 
 # --------------------------------------------------------------------- #
