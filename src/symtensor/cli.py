@@ -71,6 +71,11 @@ _PRESETS: dict[str, dict] = {
 }
 
 
+# Benchmark settings that neither the preset nor an explicit flag overrides.
+_BENCH_DEFAULTS = dict(kind=None, dims=None, rank=None, sizes=None,
+                       n_seeds=10, init="random", init_sigma=0.1, collinearity=0.0)
+
+
 def _positive_int(text: str) -> int:
     try:
         v = int(text)
@@ -149,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--rank", type=_positive_int)
     ben.add_argument("--sizes", type=_dims,
                      help="size sweep (cubical dims with rank = size)")
-    ben.add_argument("--seeds", type=_positive_int, default=None)
+    ben.add_argument("--seeds", dest="n_seeds", metavar="SEEDS", type=_positive_int)
     ben.add_argument("--base-seed", type=int, default=0)
-    ben.add_argument("--init", choices=("random", "perturbed"), default=None)
-    ben.add_argument("--init-sigma", type=float, default=None)
-    ben.add_argument("--collinearity", type=float, default=None)
+    ben.add_argument("--init", choices=("random", "perturbed"))
+    ben.add_argument("--init-sigma", type=float)
+    ben.add_argument("--collinearity", type=float)
     ben.add_argument("--tol", type=float, default=1e-10)
     ben.add_argument("--max-iters", type=_positive_int, default=20000)
     ben.add_argument("--scale", type=_scale_value, default=1.0,
@@ -224,73 +229,50 @@ def _report_aggregates(summary: RunSummary) -> None:
 
 
 def cmd_benchmark(args) -> int:
-    preset = dict(_PRESETS[args.preset]) if args.preset else {}
-    kind = args.kind or preset.get("kind")
+    opts = {**_BENCH_DEFAULTS, **_PRESETS.get(args.preset, {})}
+    opts.update((k, getattr(args, k)) for k in _BENCH_DEFAULTS if getattr(args, k) is not None)
+    kind, dims, rank, sizes = (opts.pop(k) for k in ("kind", "dims", "rank", "sizes"))
     if kind is None:
         print("error: provide --preset or --kind/--dims/--rank", file=sys.stderr)
         return 2
-    sizes = args.sizes if args.sizes is not None else preset.get("sizes")
-    init = args.init or preset.get("init", "random")
-    init_sigma = args.init_sigma if args.init_sigma is not None else preset.get("init_sigma", 0.1)
-    collinearity = (
-        args.collinearity if args.collinearity is not None else preset.get("collinearity", 0.0)
-    )
-    n_seeds = args.seeds if args.seeds is not None else preset.get("n_seeds", 10)
     cfg = SolverConfig(max_iters=args.max_iters, tol=args.tol)
     out_dir = args.out_dir or f"bench_{args.preset or kind}"
-
-    def build_spec(dims, rank, sub_dir) -> ExperimentSpec:
-        return ExperimentSpec(
-            kind=kind,
-            dims=dims,
-            rank=rank,
-            solvers=supported_solvers(kind),
-            n_seeds=n_seeds,
-            base_seed=args.base_seed,
-            init=init,
-            init_sigma=init_sigma,
-            collinearity=collinearity,
-            config=cfg,
-            out_dir=sub_dir,
-        )
-
     if sizes is not None:
         if kind != "psym3":
             print("error: --sizes sweeps are defined for kind psym3", file=sys.stderr)
             return 2
-        sweep = []
-        for s in sizes:
-            n = _scaled(s, args.scale)
-            spec = build_spec((n, n, n), n, os.path.join(out_dir, f"size{n:03d}"))
-            summary = run_experiment(spec)
-            print(f"size {n}:", file=sys.stderr)
-            _report_aggregates(summary)
-            sweep.append(
-                {
-                    "size": n,
-                    "summary": os.path.join(spec.out_dir, "summary.json"),
-                    "aggregates": {
-                        name: dataclasses.asdict(a) for name, a in summary.aggregates.items()
-                    },
-                }
-            )
-        sweep_path = os.path.join(out_dir, "sweep.json")
-        with open(sweep_path, "w", encoding="utf-8") as fh:
-            json.dump({"kind": kind, "results": sweep}, fh, indent=2)
-            fh.write("\n")
-        print(sweep_path)
-        return 0
-
-    dims = args.dims or preset.get("dims")
-    rank = args.rank or preset.get("rank")
-    if dims is None or rank is None:
+        scaled = [_scaled(s, args.scale) for s in sizes]
+        jobs = [((n, n, n), n, os.path.join(out_dir, f"size{n:03d}")) for n in scaled]
+    elif dims is None or rank is None:
         print("error: provide --dims and --rank (or a preset that sets them)", file=sys.stderr)
         return 2
-    dims = tuple(_scaled(d, args.scale) for d in dims)
-    rank = _scaled(rank, args.scale)
-    summary = run_experiment(build_spec(dims, rank, out_dir))
-    _report_aggregates(summary)
-    print(os.path.join(out_dir, "summary.json"))
+    else:
+        jobs = [(tuple(_scaled(d, args.scale) for d in dims), _scaled(rank, args.scale), out_dir)]
+    # Every spec is checked before the first run creates a directory.
+    specs = [
+        ExperimentSpec(kind=kind, dims=d, rank=r, solvers=supported_solvers(kind),
+                       base_seed=args.base_seed, config=cfg, out_dir=o, **opts)
+        for d, r, o in jobs
+    ]
+    sweep = []
+    for spec in specs:
+        summary = run_experiment(spec)
+        if sizes is not None:
+            print(f"size {spec.rank}:", file=sys.stderr)
+        _report_aggregates(summary)
+        sweep.append({
+            "size": spec.rank,
+            "summary": os.path.join(spec.out_dir, "summary.json"),
+            "aggregates": {name: dataclasses.asdict(a) for name, a in summary.aggregates.items()},
+        })
+    if sizes is None:
+        print(os.path.join(out_dir, "summary.json"))
+        return 0
+    sweep_path = os.path.join(out_dir, "sweep.json")
+    with open(sweep_path, "w", encoding="utf-8") as fh:
+        json.dump({"kind": kind, "results": sweep}, fh, indent=2)
+        fh.write("\n")
+    print(sweep_path)
     return 0
 
 

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "RunSummary",
     "run_experiment",
     "iterations_to_threshold",
-    "thread_count",
     "write_trace_csv",
     "read_trace_csv",
     "write_summary_json",
@@ -154,6 +152,10 @@ class ExperimentSpec:
             raise ValueError("need at least one seed")
         if self.init not in ("random", "perturbed"):
             raise ValueError(f"init must be 'random' or 'perturbed', got {self.init!r}")
+        if not 0.0 <= self.collinearity < 1.0:
+            raise ValueError("collinearity must lie in [0, 1)")
+        if not self.init_sigma >= 0.0:
+            raise ValueError(f"init_sigma must be >= 0, got {self.init_sigma}")
         allowed = supported_solvers(self.kind)
         for s in self.solvers:
             if s not in allowed:
@@ -201,17 +203,6 @@ class RunSummary:
     aggregates: dict[str, AggregateStats]
 
 
-def thread_count() -> int:
-    """Worker count from SYMTENSOR_THREADS: unset = 1, 0 = all cores, N = N."""
-    raw = os.environ.get("SYMTENSOR_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 0:
-        raise ValueError("SYMTENSOR_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def _seed_for(base: int, namespace: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((base, namespace, index)))
 
@@ -246,15 +237,14 @@ def _aggregate(solver: str, records: list[RunRecord]) -> AggregateStats:
 def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Generate, solve, and aggregate one experiment.
 
-    Each seed gets its own problem instance and one shared set of starting
-    factors handed to every solver in the comparison. Seeds may execute on a
-    thread pool (SYMTENSOR_THREADS); records are joined in (seed, solver)
-    order, so the output is schedule independent.
+    Seeds run one after another. Each gets its own problem instance and one
+    shared set of starting factors handed to every solver in the comparison;
+    records come in (seed, solver) order.
     """
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
-
-    def one_seed(idx: int) -> list[RunRecord]:
+    runs = []
+    for idx in range(spec.n_seeds):
         x, truth = generate_problem(
             spec.kind, spec.dims, spec.rank, _seed_for(spec.base_seed, 0, idx), spec.collinearity
         )
@@ -269,7 +259,6 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
             np.random.SeedSequence((spec.base_seed, 2, idx)).generate_state(1)[0]
         )
         cfg = dataclasses.replace(spec.config, seed=redraw_seed)
-        out = []
         for solver in spec.solvers:
             _, trace = solve_problem(
                 spec.kind, solver, x, spec.rank, [f.copy() for f in init], cfg
@@ -278,7 +267,7 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
             if spec.out_dir:
                 path = os.path.join(spec.out_dir, f"trace_{solver}_seed{idx:03d}.csv")
                 write_trace_csv(trace, path)
-            out.append(
+            runs.append(
                 RunRecord(
                     seed_index=idx,
                     solver=solver,
@@ -289,16 +278,7 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
                     trace_path=path,
                 )
             )
-        return out
 
-    workers = thread_count()
-    if workers == 1:
-        per_seed = [one_seed(i) for i in range(spec.n_seeds)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(one_seed, range(spec.n_seeds)))
-
-    runs = [record for seed_runs in per_seed for record in seed_runs]
     aggregates = {
         solver: _aggregate(solver, [r for r in runs if r.solver == solver])
         for solver in spec.solvers
@@ -349,20 +329,10 @@ def read_trace_csv(path: str) -> tuple[list[float], list[float]]:
 
 def write_summary_json(summary: RunSummary, path: str) -> None:
     """Write the experiment summary (spec, runs, aggregates) as JSON."""
-    spec = summary.spec
+    experiment = dataclasses.asdict(summary.spec)
+    del experiment["out_dir"]
     doc = {
-        "experiment": {
-            "kind": spec.kind,
-            "dims": list(spec.dims),
-            "rank": spec.rank,
-            "solvers": list(spec.solvers),
-            "n_seeds": spec.n_seeds,
-            "base_seed": spec.base_seed,
-            "init": spec.init,
-            "init_sigma": spec.init_sigma,
-            "collinearity": spec.collinearity,
-            "config": dataclasses.asdict(spec.config),
-        },
+        "experiment": experiment,
         "runs": [dataclasses.asdict(r) for r in summary.runs],
         "aggregates": {name: dataclasses.asdict(a) for name, a in summary.aggregates.items()},
     }

@@ -51,6 +51,18 @@ def _write_values(fh: IO[str], values: np.ndarray, per_line: int = 6) -> None:
         fh.write("\n")
 
 
+def _finite(flat: np.ndarray, where: str, what: str) -> np.ndarray:
+    """Return ``flat``, or raise naming its first NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{where}: entry {k} (0-based, column-major) is {flat[k]}; "
+            f"{what} entries must be finite"
+        )
+    return flat
+
+
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
     """Parse a tensor text file into a float64 array.
 
@@ -75,14 +87,7 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     count = int(np.prod(dims))
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} values for dims {dims}, found {len(values)}")
-    flat = np.array(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"{path}: entry {k} (0-based, column-major) is {flat[k]}; "
-            "tensor entries must be finite"
-        )
+    flat = _finite(np.array(values, dtype=np.float64), str(path), "tensor")
     return flat.reshape(dims, order="F")
 
 
@@ -97,7 +102,7 @@ def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:
 
 
 def read_model(path: str | os.PathLike) -> FactorModel:
-    """Parse a factor model text file."""
+    """Parse a factor model text file; a NaN or infinite entry raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         tok = _tokens(fh)
         try:
@@ -112,13 +117,12 @@ def read_model(path: str | os.PathLike) -> FactorModel:
         try:
             rank = int(next(tok))
             factors = []
-            for _ in range(pattern.n_factors):
+            for i in range(pattern.n_factors):
                 rows, cols = int(next(tok)), int(next(tok))
                 if cols != rank:
                     raise ValueError(f"{path}: factor has {cols} columns, rank is {rank}")
-                data = np.array(
-                    [float(next(tok)) for _ in range(rows * cols)], dtype=np.float64
-                )
+                data = np.array([float(next(tok)) for _ in range(rows * cols)], dtype=np.float64)
+                data = _finite(data, f"{path}: factor {i}", "factor")
                 factors.append(data.reshape(rows, cols, order="F"))
         except StopIteration:
             raise ValueError(f"{path}: model file ended early") from None

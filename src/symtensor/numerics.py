@@ -15,17 +15,13 @@ from . import _kernels
 
 __all__ = [
     "QuarticCoefficients",
-    "PinvOptions",
     "ClippedEigenvaluesWarning",
-    "pseudoinverse",
     "qr_orthogonal_factor",
     "symmetric_psd_factor",
     "real_cubic_roots",
     "quartic_global_min",
     "build_coordinate_quartic",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -45,21 +41,6 @@ class QuarticCoefficients:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
 
 
-@dataclass(frozen=True)
-class PinvOptions:
-    """Pseudoinverse truncation threshold.
-
-    Singular values at or below ``cutoff * sigma_max`` are treated as zero.
-    ``None`` selects ``max(rows, cols) * machine epsilon``.
-    """
-
-    cutoff: float | None = None
-
-    def __post_init__(self):
-        if self.cutoff is not None and not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
-
-
 class ClippedEigenvaluesWarning(UserWarning):
     """Negative eigenvalues were clipped to zero in a PSD factorization.
 
@@ -73,17 +54,6 @@ class ClippedEigenvaluesWarning(UserWarning):
         super().__init__(
             f"clipped {count} negative eigenvalue(s), total magnitude {clipped_mass:.6e}"
         )
-
-
-def pseudoinverse(m: np.ndarray, opts: PinvOptions | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular value cutoff."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("pseudoinverse expects a matrix")
-    cutoff = opts.cutoff if opts is not None and opts.cutoff is not None else None
-    if cutoff is None:
-        cutoff = max(m.shape) * _EPS
-    return np.linalg.pinv(m, rcond=cutoff)
 
 
 def qr_orthogonal_factor(p: np.ndarray) -> np.ndarray:

@@ -66,6 +66,12 @@ __all__ = [
     "pcls4_full",
 ]
 
+# glibc returns freed blocks of 128 KiB and up to the kernel until the process
+# has freed a larger block. A tall QR in ``_Run.lstsq`` frees about 250 KiB of
+# LAPACK scratch, which is then faulted in again on every call (264 page faults
+# per als4_sym iteration on a 10^4 tensor); freeing one 1 MiB block ends that.
+np.empty(1 << 17)
+
 _SYM_PRE_TOL = 1e-8
 _DEAD_COLUMN_REL = 1e-14
 _ORTHO_DRIFT_TOL = 1e-8
@@ -223,9 +229,9 @@ class _Run:
     pattern whose factor rows the starting factors have), rejects
     non-finite entries and a squared norm that overflows, checks the
     symmetry itself when ``symmetric`` (the pcls preconditions), and
-    copies one starting factor per label. ``lstsq`` counts rank-deficient
-    solves, ``sweep`` refits factor columns, and ``iterate`` runs a
-    solver's ``step`` until a stop.
+    copies one starting factor per label, rejecting non-finite ones.
+    ``lstsq`` counts rank-deficient solves, ``sweep`` refits factor columns,
+    and ``iterate`` runs a solver's ``step`` until a stop.
     """
 
     def __init__(self, name, x, r, init, cfg, pattern, shape, labels, symmetric=False):
@@ -258,6 +264,8 @@ class _Run:
             a = np.array(a, dtype=np.float64)
             if a.shape != (n, r):
                 raise ValueError(f"{label} must have shape ({n}, {r}), got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"starting factor {label} has non-finite entries (NaN or inf)")
             self.factors.append(a)
         self.diag: dict = {}
         self.residuals: list[float] = []

@@ -215,6 +215,23 @@ def test_decompose_rejects_non_finite_file_at_read(tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_decompose_rejects_non_finite_model_at_read(tmp_path):
+    x, truth = symtensor.generate_problem("psym3", (4, 4, 5), 2, np.random.default_rng(63))
+    truth.factors[0][1, 1] = np.nan
+    write_tensor(str(tmp_path / "x.txt"), x)
+    write_model(str(tmp_path / "nan.txt"), truth)
+    res = run_cli(
+        "decompose", "--input", "x.txt", "--solver", "als", "--pattern", "psym3",
+        "--rank", "2", "--init-model", "nan.txt", cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error:") and "nan.txt: factor 0: entry 5 " in res.stderr
+    assert "DLASCL" not in res.stdout + res.stderr
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_decompose_summary_names_scale_guard_and_workarounds(tmp_path):
     rng = np.random.default_rng(40)
     x, truth = symtensor.generate_problem("psym3", (6, 6, 5), 2, rng)
@@ -286,16 +303,21 @@ def test_decompose_loose_tolerance_stops_early(workdir):
 
 
 def test_benchmark_preset_scaled_smoke(tmp_path):
+    """Explicit flags override the preset's fields; the rest come from it."""
     res = run_cli(
         "benchmark", "--preset", "example1", "--scale", "0.25", "--seeds", "2",
+        "--init", "random", "--collinearity", "0.5", "--init-sigma", "0.2",
         "--max-iters", "500", "--out-dir", "bench", cwd=tmp_path,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == os.path.join("bench", "summary.json")
     with open(tmp_path / "bench" / "summary.json", encoding="utf-8") as fh:
         doc = json.load(fh)
-    assert doc["experiment"]["kind"] == "psym3"
-    assert doc["experiment"]["n_seeds"] == 2
+    exp = doc["experiment"]
+    assert (exp["kind"], exp["dims"], exp["rank"]) == ("psym3", [4, 4, 4], 4)
+    assert (exp["n_seeds"], exp["init"], exp["init_sigma"], exp["collinearity"]) == (
+        2, "random", 0.2, 0.5
+    )
     assert set(doc["aggregates"]) == {"pcls", "als"}
     assert "pcls: converged" in res.stderr
 
@@ -330,6 +352,20 @@ def test_benchmark_usage_errors(tmp_path):
     res = run_cli("benchmark", cwd=tmp_path)
     assert res.returncode == 2
     assert "provide --preset" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(("--preset", "example1", "--collinearity", "1.5"), "collinearity"),
+     (("--preset", "example3", "--scale", "0.1", "--init", "perturbed",
+       "--init-sigma", "-1"), "init_sigma")],
+    ids=["collinearity", "init-sigma"],
+)
+def test_benchmark_bad_flags_write_nothing(tmp_path, flags, message):
+    res = run_cli("benchmark", *flags, "--out-dir", "out", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and message in res.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_no_subcommand_is_usage_error(tmp_path):

@@ -24,7 +24,6 @@ from symtensor import (
     square_matricize,
     supported_solvers,
     symmetry_check,
-    thread_count,
     write_trace_csv,
 )
 
@@ -177,25 +176,6 @@ def test_iterations_to_threshold_examples():
 
 
 # --------------------------------------------------------------------- #
-# Thread count                                                            #
-# --------------------------------------------------------------------- #
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("SYMTENSOR_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SYMTENSOR_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("SYMTENSOR_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("SYMTENSOR_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("SYMTENSOR_THREADS", "-2")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-# --------------------------------------------------------------------- #
 # run_experiment                                                          #
 # --------------------------------------------------------------------- #
 
@@ -257,15 +237,6 @@ def test_run_experiment_is_reproducible():
         assert ra.stop_reason == rb.stop_reason
 
 
-def test_run_experiment_thread_pool_matches_serial(monkeypatch):
-    serial = run_experiment(_small_spec())
-    monkeypatch.setenv("SYMTENSOR_THREADS", "2")
-    threaded = run_experiment(_small_spec())
-    for ra, rb in zip(serial.runs, threaded.runs):
-        assert ra.final_residual == rb.final_residual
-        assert ra.iterations == rb.iterations
-
-
 @pytest.mark.parametrize("kind", sorted(KIND_DIMS))
 def test_run_experiment_truth_start_converges_everywhere(kind):
     spec = ExperimentSpec(
@@ -301,9 +272,8 @@ def test_summary_json_schema(tmp_path):
         doc = json.load(fh)
     assert set(doc) == {"experiment", "runs", "aggregates"}
     exp = doc["experiment"]
-    for key in ("kind", "dims", "rank", "solvers", "n_seeds", "base_seed",
-                "init", "init_sigma", "collinearity", "config"):
-        assert key in exp
+    assert list(exp) == ["kind", "dims", "rank", "solvers", "n_seeds", "base_seed",
+                         "init", "init_sigma", "collinearity", "config"]
     assert exp["config"]["max_iters"] == 2000
     run = doc["runs"][0]
     for key in ("seed_index", "solver", "iterations", "final_residual",
@@ -325,5 +295,10 @@ def test_experiment_spec_validation():
         ExperimentSpec(**{**ok, "n_seeds": 0})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "init": "warm"})
+    for collinearity in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="collinearity"):
+            ExperimentSpec(**{**ok, "collinearity": collinearity})
+    with pytest.raises(ValueError, match="init_sigma"):
+        ExperimentSpec(**{**ok, "init_sigma": -1.0})
     with pytest.raises(ValueError):
         ExperimentSpec(kind="psym4-case1", dims=(4, 3, 4, 3), rank=2, solvers=("pcls", "als"))

@@ -110,3 +110,20 @@ def test_model_rejects_trailing_garbage(tmp_path):
     path.write_text("psym3 1\n2 1\n1 2\n1 1\n3\n99\n")
     with pytest.raises(ValueError, match="trailing"):
         read_model(path)
+
+
+@pytest.mark.parametrize(
+    "text,factor,index,value",
+    [("psym3 1\n2 1\nnan 1\n1 1\n3\n", 0, 0, "nan"),
+     ("psym3 1\n2 1\n1 2\n1 1\n-inf\n", 1, 0, "-inf"),
+     ("psym3 1\n2 1\n1 1e400\n1 1\n3\n", 0, 1, "inf")],
+    ids=["nan", "minus-inf", "overflowing-token"],
+)
+def test_model_rejects_non_finite_entries(tmp_path, text, factor, index, value):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: factor {factor}: entry {index} ")
+    assert f" is {value};" in msg

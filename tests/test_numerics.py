@@ -15,10 +15,8 @@ import pytest
 
 from symtensor import (
     ClippedEigenvaluesWarning,
-    PinvOptions,
     QuarticCoefficients,
     build_coordinate_quartic,
-    pseudoinverse,
     qr_orthogonal_factor,
     quartic_global_min,
     real_cubic_roots,
@@ -219,45 +217,8 @@ def test_build_coordinate_quartic_validates():
 
 
 # --------------------------------------------------------------------- #
-# Pseudoinverse / QR                                                     #
+# QR                                                                     #
 # --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (10, 7), (7, 10), (50, 50), (50, 30)])
-def test_pseudoinverse_penrose_conditions(shape):
-    rng = np.random.default_rng(105)
-    m = rng.standard_normal(shape)
-    p = pseudoinverse(m)
-    scale = np.linalg.norm(m)
-    assert np.linalg.norm(m @ p @ m - m) <= 1e-9 * scale
-    assert np.linalg.norm(p @ m @ p - p) <= 1e-9 * np.linalg.norm(p)
-    assert np.linalg.norm((m @ p).T - m @ p) <= 1e-9
-    assert np.linalg.norm((p @ m).T - p @ m) <= 1e-9
-
-
-def test_pseudoinverse_known_values():
-    np.testing.assert_allclose(
-        pseudoinverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14
-    )
-    u = np.array([3.0, 4.0]) / 5.0
-    v = np.array([1.0, 2.0, 2.0]) / 3.0
-    np.testing.assert_allclose(pseudoinverse(np.outer(u, v)), np.outer(v, u), atol=1e-12)
-    np.testing.assert_array_equal(pseudoinverse(np.zeros((2, 3))), np.zeros((3, 2)))
-
-
-def test_pseudoinverse_cutoff_drops_small_singular_values():
-    m = np.diag([1.0, 1e-6])
-    strict = pseudoinverse(m, PinvOptions(cutoff=1e-3))
-    np.testing.assert_allclose(strict, np.diag([1.0, 0.0]), atol=1e-12)
-    loose = pseudoinverse(m)
-    np.testing.assert_allclose(loose, np.diag([1.0, 1e6]), rtol=1e-9)
-
-
-def test_pinv_options_validation():
-    with pytest.raises(ValueError):
-        PinvOptions(cutoff=0.0)
-    with pytest.raises(ValueError):
-        PinvOptions(cutoff=-1.0)
 
 
 def test_qr_known_column():
@@ -348,7 +309,7 @@ def test_psd_factor_rank_bounds():
 _BACKEND_PROBE = r"""
 import json, sys
 import numpy as np
-from symtensor import _kernels
+from symtensor import InitStrategy, SolverConfig, _kernels, generate_problem, initialize, pcls3
 
 rng = np.random.default_rng(7)
 out = {"numba": _kernels.NUMBA_ENABLED, "cubic": [], "quartic": [], "sweep": []}
@@ -364,6 +325,10 @@ for _ in range(20):
     y = rng.standard_normal((6, 6))
     _kernels.coordinate_sweep(a, y, 2)
     out["sweep"].append(a.tolist())
+x, truth = generate_problem("psym3", (8, 8, 9), 8, np.random.default_rng(1), 0.75)
+init = initialize(InitStrategy.perturbed_truth(0.1, truth), [(8, 8), (9, 8)], rng)
+_, trace = pcls3(x, 8, init, SolverConfig(max_iters=300))
+out["pcls3"] = [trace.iterations, trace.final_residual]
 json.dump(out, sys.stdout)
 """
 
@@ -378,7 +343,9 @@ def _probe_backend(no_numba: bool):
 
 
 def test_numba_and_python_backends_agree():
-    """Same source, two backends: results agree to roundoff everywhere."""
+    """Same source, two backends: results agree to roundoff everywhere, and a
+    seeded pcls3 solve takes the same number of iterations to the same
+    residual."""
     jit = _probe_backend(no_numba=False)
     pure = _probe_backend(no_numba=True)
     assert pure["numba"] is False
@@ -389,6 +356,9 @@ def test_numba_and_python_backends_agree():
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     for a, b in zip(jit["sweep"], pure["sweep"]):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+    (jit_iters, jit_res), (pure_iters, pure_res) = jit["pcls3"], pure["pcls3"]
+    assert jit_iters == pure_iters
+    assert abs(jit_res - pure_res) <= 1e-12 * max(1.0, jit_res)
 
 
 def test_sweep_against_roots_oracle():

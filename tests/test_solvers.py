@@ -453,15 +453,20 @@ def test_shape_preconditions():
         als3(rng.standard_normal((3, 3)), 1, [np.ones((3, 1))] * 3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308, "nan-factor"])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_non_finite_or_overflowing_input_rejected(name, bad):
     solver, pattern, dims = SOLVERS[name]
     x, model = make_problem(pattern, dims, 2, seed=39)
-    x[(0,) * x.ndim] = bad
-    problem = "overflows" if np.isfinite(bad) else "non-finite"
+    init = truth_init(name, model)
+    if bad == "nan-factor":
+        (init if name in ("als4_sym", "pcls4_full") else init[-1])[0, 0] = np.nan
+        problem = "starting factor [ABC] has non-finite"
+    else:
+        x[(0,) * x.ndim] = bad
+        problem = "overflows" if np.isfinite(bad) else "non-finite"
     with pytest.raises(ValueError, match=problem):
-        solver(x, 2, truth_init(name, model), SolverConfig(max_iters=3))
+        solver(x, 2, init, SolverConfig(max_iters=3))
 
 
 def test_pcls4_full_rank_cap():
