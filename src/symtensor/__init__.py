@@ -4,115 +4,21 @@ Two solver families over structured random or user-supplied tensors: a
 column-wise least-squares method that exploits the index symmetries
 (pcls3, pcls4_case1, pcls4_case2, pcls4_full) and the alternating
 least-squares baselines it is compared against (als3, als3_sym, als4_sym).
+Each public name is declared once, in its submodule's ``__all__``.
 """
-from ._kernels import NUMBA_ENABLED
-from .core import (
-    SUPPORTED_ORDERS,
-    FactorModel,
-    SymmetryPattern,
-    khatri_rao,
-    mode_n_matricize,
-    fold_mode_n,
-    reconstruct,
-    residual_sq,
-    square_matricize,
-    symmetry_check,
-    symmetry_defect,
-    unvec,
-)
-from .harness import (
-    AggregateStats,
-    ExperimentSpec,
-    RunRecord,
-    RunSummary,
-    generate_problem,
-    init_shapes,
-    iterations_to_threshold,
-    read_trace_csv,
-    run_experiment,
-    solve_problem,
-    supported_solvers,
-    write_summary_json,
-    write_trace_csv,
-)
-from .io import read_model, read_tensor, write_model, write_tensor
-from .numerics import (
-    ClippedEigenvaluesWarning,
-    QuarticCoefficients,
-    build_coordinate_quartic,
-    qr_orthogonal_factor,
-    quartic_global_min,
-    real_cubic_roots,
-    symmetric_psd_factor,
-)
-from .solvers import (
-    ConvergenceTrace,
-    InitKind,
-    InitStrategy,
-    SolverConfig,
-    StopReason,
-    als3,
-    als3_sym,
-    als4_sym,
-    initialize,
-    pcls3,
-    pcls4_case1,
-    pcls4_case2,
-    pcls4_full,
-)
+from . import core, harness, io, numerics, solvers
+from .core import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# solverbench/run.py records this flag; the kernels have no numba backend.
+NUMBA_ENABLED = False
+
 __all__ = [
-    "NUMBA_ENABLED",
-    "SUPPORTED_ORDERS",
-    "FactorModel",
-    "SymmetryPattern",
-    "khatri_rao",
-    "mode_n_matricize",
-    "fold_mode_n",
-    "reconstruct",
-    "residual_sq",
-    "square_matricize",
-    "symmetry_check",
-    "symmetry_defect",
-    "unvec",
-    "AggregateStats",
-    "ExperimentSpec",
-    "RunRecord",
-    "RunSummary",
-    "generate_problem",
-    "init_shapes",
-    "iterations_to_threshold",
-    "read_trace_csv",
-    "run_experiment",
-    "solve_problem",
-    "supported_solvers",
-    "write_summary_json",
-    "write_trace_csv",
-    "read_model",
-    "read_tensor",
-    "write_model",
-    "write_tensor",
-    "ClippedEigenvaluesWarning",
-    "QuarticCoefficients",
-    "build_coordinate_quartic",
-    "qr_orthogonal_factor",
-    "quartic_global_min",
-    "real_cubic_roots",
-    "symmetric_psd_factor",
-    "ConvergenceTrace",
-    "InitKind",
-    "InitStrategy",
-    "SolverConfig",
-    "StopReason",
-    "als3",
-    "als3_sym",
-    "als4_sym",
-    "initialize",
-    "pcls3",
-    "pcls4_case1",
-    "pcls4_case2",
-    "pcls4_full",
-    "__version__",
+    *core.__all__, *harness.__all__, *io.__all__, *numerics.__all__, *solvers.__all__,
+    "NUMBA_ENABLED", "__version__",
 ]

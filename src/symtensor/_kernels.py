@@ -1,21 +1,16 @@
 """Scalar hot loops: real cubic roots, quartic minimization, coordinate sweeps.
 
-The functions below are written as plain Python over scalars. At import
-time they are compiled with numba when it is available, unless the
-environment variable SYMTENSOR_NO_NUMBA is set to a non-empty value other
-than "0", in which case the pure-Python definitions run as is. Both backends
-execute the same source, so they agree to floating point roundoff; only
-``coordinate_sweep`` differs, handing ``_sweep`` Python lists in pure Python
-and the arrays themselves when compiled.
+Written as plain Python over scalars. :mod:`symtensor.numerics` wraps
+``cubic_roots`` and ``quartic_min``; the pcls solvers call
+``coordinate_sweep`` once per factor column.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "cubic_roots", "quartic_min", "coordinate_sweep"]
+__all__ = ["cubic_roots", "quartic_min", "coordinate_sweep"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -149,30 +144,3 @@ def coordinate_sweep(a: np.ndarray, y: np.ndarray, n_sweeps: int) -> None:
     v = a.tolist()
     _sweep(v, (y + y.T).tolist(), n_sweeps)
     a[:] = v
-
-
-def _flag_set(name: str) -> bool:
-    v = os.environ.get(name, "").strip()
-    return v not in ("", "0")
-
-
-NUMBA_ENABLED = False
-if not _flag_set("SYMTENSOR_NO_NUMBA"):
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        # Rebinding in dependency order lets the compiled callees resolve
-        # through the module globals when the callers are compiled.
-        _cbrt = njit(cache=True, nogil=True)(_cbrt)
-        _polish = njit(cache=True, nogil=True)(_polish)
-        cubic_roots = njit(cache=True, nogil=True)(cubic_roots)
-        quartic_min = njit(cache=True, nogil=True)(quartic_min)
-        _sweep = njit(cache=True, nogil=True)(_sweep)
-
-        def coordinate_sweep(a, y, n_sweeps):  # noqa: F811  compiled: sweeps the arrays
-            _sweep(a, y + y.T, n_sweeps)
-
-        coordinate_sweep = njit(cache=True, nogil=True)(coordinate_sweep)
-        NUMBA_ENABLED = True

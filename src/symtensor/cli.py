@@ -241,7 +241,12 @@ def cmd_benchmark(args) -> int:
         if kind != "psym3":
             print("error: --sizes sweeps are defined for kind psym3", file=sys.stderr)
             return 2
-        scaled = [_scaled(s, args.scale) for s in sizes]
+        if args.dims is not None or args.rank is not None:
+            print("error: a size sweep sets dims and rank from each size; "
+                  "drop --dims/--rank", file=sys.stderr)
+            return 2
+        # Scaling can map distinct sizes onto one; run each size once.
+        scaled = dict.fromkeys(_scaled(s, args.scale) for s in sizes)
         jobs = [((n, n, n), n, os.path.join(out_dir, f"size{n:03d}")) for n in scaled]
     elif dims is None or rank is None:
         print("error: provide --dims and --rank (or a preset that sets them)", file=sys.stderr)

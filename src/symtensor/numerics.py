@@ -1,7 +1,7 @@
 """Dense linear-algebra and polynomial helpers shared by the solvers.
 
 Everything here is a pure function over float64 arrays. The polynomial
-routines delegate to the compiled kernels in :mod:`symtensor._kernels`.
+routines wrap the scalar kernels in :mod:`symtensor._kernels`.
 """
 from __future__ import annotations
 

@@ -1,9 +1,5 @@
 """End-to-end command-line runs in subprocesses.
 
-Most cases set SYMTENSOR_NO_NUMBA to skip compiler startup; one decompose
-run keeps the default environment, so it goes through the compiled kernels
-where numba is installed and through the pure-Python kernels otherwise.
-
 Each child runs ``python -m symtensor`` from a scratch working directory and
 imports the same package this test process imported, whether that package is
 installed or found through PYTHONPATH.
@@ -34,12 +30,8 @@ from symtensor.core import SymmetryPattern
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(symtensor.__file__)))
 
 
-def run_cli(*args, cwd, numba=False):
+def run_cli(*args, cwd):
     env = dict(os.environ)
-    if numba:
-        env.pop("SYMTENSOR_NO_NUMBA", None)
-    else:
-        env["SYMTENSOR_NO_NUMBA"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
     )
@@ -123,13 +115,13 @@ def test_generate_rejects_mismatched_symmetric_dims(tmp_path):
 
 
 def test_decompose_truth_start_converges_numba_path(workdir):
-    """Runs with the default backend: compiled where numba is installed,
-    pure Python otherwise."""
+    """Runs in the default environment. The name is older than the single
+    pure-Python kernel backend and is kept so the test id stays stable."""
     res = run_cli(
         "decompose", "--input", "x.txt", "--solver", "pcls", "--pattern", "psym3",
         "--rank", "2", "--init-model", "truth.txt",
         "--output-model", "out.txt", "--trace", "tr.csv",
-        cwd=workdir, numba=True,
+        cwd=workdir,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["out.txt", "tr.csv"]
@@ -336,6 +328,35 @@ def test_benchmark_size_sweep(tmp_path):
     assert [entry["size"] for entry in doc["results"]] == [4, 5]
     for entry in doc["results"]:
         assert os.path.exists(tmp_path / entry["summary"])
+
+
+def test_benchmark_scaled_sweep_runs_each_size_once(tmp_path):
+    """--scale 0.02 maps example3's nine sizes onto 1 and 2."""
+    res = run_cli(
+        "benchmark", "--preset", "example3", "--scale", "0.02", "--seeds", "1",
+        "--max-iters", "5", "--out-dir", "sweep", cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "sweep" / "sweep.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert [entry["size"] for entry in results] == [1, 2]
+    assert sorted(os.listdir(tmp_path / "sweep")) == ["size001", "size002", "sweep.json"]
+    for entry in results:
+        assert os.path.exists(tmp_path / entry["summary"])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--preset", "example3", "--scale", "0.02", "--dims", "3,3,2", "--rank", "2"),
+     ("--kind", "psym3", "--sizes", "4,5", "--rank", "2")],
+    ids=["preset", "sizes"],
+)
+def test_benchmark_sweep_rejects_dims_and_rank(tmp_path, flags):
+    res = run_cli("benchmark", *flags, "--seeds", "1", "--max-iters", "5",
+                  "--out-dir", "out", cwd=tmp_path)
+    assert res.returncode == 2
+    assert "--dims/--rank" in res.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_benchmark_sizes_need_psym3(tmp_path):

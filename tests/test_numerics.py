@@ -4,10 +4,6 @@ The polynomial oracles here go through numpy's companion-matrix root finder
 and dense grid search, which share no code with the closed-form kernels
 under test.
 """
-import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -303,62 +299,8 @@ def test_psd_factor_rank_bounds():
 
 
 # --------------------------------------------------------------------- #
-# Compiled kernels vs the pure-Python backend                            #
+# Coordinate sweeps                                                     #
 # --------------------------------------------------------------------- #
-
-_BACKEND_PROBE = r"""
-import json, sys
-import numpy as np
-from symtensor import InitStrategy, SolverConfig, _kernels, generate_problem, initialize, pcls3
-
-rng = np.random.default_rng(7)
-out = {"numba": _kernels.NUMBA_ENABLED, "cubic": [], "quartic": [], "sweep": []}
-for _ in range(200):
-    p, q, r = rng.standard_normal(3) * 3
-    out["cubic"].append(list(_kernels.cubic_roots(p, q, r)))
-for _ in range(200):
-    c4 = rng.uniform(0.01, 10.0)
-    c3, c2, c1, c0 = rng.standard_normal(4) * 4
-    out["quartic"].append(list(_kernels.quartic_min(c4, c3, c2, c1, c0)))
-for _ in range(20):
-    a = rng.standard_normal(6)
-    y = rng.standard_normal((6, 6))
-    _kernels.coordinate_sweep(a, y, 2)
-    out["sweep"].append(a.tolist())
-x, truth = generate_problem("psym3", (8, 8, 9), 8, np.random.default_rng(1), 0.75)
-init = initialize(InitStrategy.perturbed_truth(0.1, truth), [(8, 8), (9, 8)], rng)
-_, trace = pcls3(x, 8, init, SolverConfig(max_iters=300))
-out["pcls3"] = [trace.iterations, trace.final_residual]
-json.dump(out, sys.stdout)
-"""
-
-
-def _probe_backend(no_numba: bool):
-    env = dict(os.environ, SYMTENSOR_NO_NUMBA="1" if no_numba else "")
-    res = subprocess.run(
-        [sys.executable, "-c", _BACKEND_PROBE], env=env, capture_output=True, text=True
-    )
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout)
-
-
-def test_numba_and_python_backends_agree():
-    """Same source, two backends: results agree to roundoff everywhere, and a
-    seeded pcls3 solve takes the same number of iterations to the same
-    residual."""
-    jit = _probe_backend(no_numba=False)
-    pure = _probe_backend(no_numba=True)
-    assert pure["numba"] is False
-    for a, b in zip(jit["cubic"], pure["cubic"]):
-        assert a[0] == b[0]  # identical root counts
-        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-12, atol=1e-12)
-    for a, b in zip(jit["quartic"], pure["quartic"]):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-    for a, b in zip(jit["sweep"], pure["sweep"]):
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-    (jit_iters, jit_res), (pure_iters, pure_res) = jit["pcls3"], pure["pcls3"]
-    assert jit_iters == pure_iters
-    assert abs(jit_res - pure_res) <= 1e-12 * max(1.0, jit_res)
 
 
 def test_sweep_against_roots_oracle():
