@@ -13,15 +13,17 @@ pattern, finite entries and a finite squared norm, and the symmetry itself
 for the pcls solvers), copies the starting factors, and owns the counted
 least-squares solve, the column sweep with its dead-column redraws, and
 the loop that computes the residual, applies the stopping rules and times
-every iteration. The solve reduces a tall system ``m x = rhs`` by the thin
-QR ``m = QR`` and hands ``np.linalg.lstsq`` the square ``R`` and
-``Q.T @ rhs`` (one call per solve, same right-hand sides, the cutoff of the
-unreduced system); square and wide systems go to it unchanged. The residual
-is one Khatri-Rao GEMM (see :func:`core.residual_sq`). ``_Run`` and the
-steps call the core and numerics functions through this module's globals,
-and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module
-attributes, so rebinding one of those names times or replaces that layer
-for every solver.
+every iteration. The solve reduces a tall system ``m x = rhs`` with R
+columns to an R x R one: a well-conditioned system in m's singular basis,
+taken from the eigendecomposition of the Gram ``m.T @ m``, and an
+ill-conditioned one by the thin QR ``m = QR``. Either way
+``np.linalg.lstsq`` gets one square system with m's singular values, the
+same right-hand sides and the cutoff of the unreduced system; square and
+wide systems go to it unchanged. The residual is one Khatri-Rao GEMM (see
+:func:`core.residual_sq`). ``_Run`` and the steps call the core and
+numerics functions through this module's globals, and ``np.linalg.lstsq``
+and ``_kernels.coordinate_sweep`` as module attributes, so rebinding one of
+those names times or replaces that layer for every solver.
 """
 from __future__ import annotations
 
@@ -66,14 +68,12 @@ __all__ = [
     "pcls4_full",
 ]
 
-# glibc returns freed blocks of 128 KiB and up to the kernel until the process
-# has freed a larger block. A tall QR in ``_Run.lstsq`` frees about 250 KiB of
-# LAPACK scratch, which is then faulted in again on every call (264 page faults
-# per als4_sym iteration on a 10^4 tensor); freeing one 1 MiB block ends that.
-np.empty(1 << 17)
-
 _SYM_PRE_TOL = 1e-8
 _DEAD_COLUMN_REL = 1e-14
+# ``_Run.lstsq`` solves a tall system from its Gram only above this eigenvalue
+# ratio (cond < 1e4: squaring it costs at most about 1e8 * eps). Systems that
+# are rank-deficient at the default cutoff fall far below it and take the QR.
+_GRAM_COND_REL = 1e-8
 _ORTHO_DRIFT_TOL = 1e-8
 
 
@@ -126,7 +126,9 @@ class ConvergenceTrace:
     symmetry_defect list is filled only by als3_sym (Frobenius distance
     between the two factors that model symmetric modes). diagnostics holds
     solver-specific counters (rank-deficient solves, redrawn columns,
-    clipped eigenvalue mass, factor-space residuals).
+    clipped eigenvalue mass, factor-space residuals), and
+    "ill_conditioned_solves", the tall solves whose Gram was too
+    ill-conditioned for the singular-basis path and took the thin QR.
     """
 
     residuals: list[float]
@@ -275,27 +277,45 @@ class _Run:
     def lstsq(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solve that counts rank-deficient systems.
 
-        A tall ``m`` (more rows than columns) is reduced first: with its thin
-        QR ``m = QR``, ``np.linalg.lstsq`` receives the square ``R`` and
-        ``Q.T @ rhs``. R has m's singular values and Q spans m's range, so
-        the solution and the rank are those of the unreduced system. The
-        cutoff comes from m's shape (``pinv_cutoff``, or machine epsilon
-        times max(rows, cols) of m), not from R's, which would keep more
-        singular values. Square and wide systems go to ``np.linalg.lstsq``
-        as they are.
+        A tall ``m`` (more rows than columns) is reduced first. With the
+        eigendecomposition ``m.T @ m = V diag(lam) V.T`` of its R x R Gram,
+        m's singular values are ``s = sqrt(lam)`` and its right singular
+        vectors are V. When ``lam_min > _GRAM_COND_REL * lam_max`` (cond(m)
+        < 1e4), ``np.linalg.lstsq`` receives ``diag(s)`` and
+        ``diag(1/s) V.T m.T rhs``, and the solution is V times its result.
+        Otherwise, a zero or non-finite Gram included, the solve counts one
+        ``ill_conditioned_solves`` and takes the thin QR ``m = QR``:
+        ``np.linalg.lstsq`` receives the square R and ``Q.T @ rhs``. Either
+        way the reduced system has m's singular values and one call solves
+        every right-hand side, so the solution and the rank are those of the
+        unreduced system. The cutoff comes from m's shape (``pinv_cutoff``,
+        or machine epsilon times max(rows, cols) of m), not from the reduced
+        system's, which would keep more singular values. Square and wide
+        systems go to ``np.linalg.lstsq`` as they are.
         """
         cut = self.cfg.pinv_cutoff
         if cut is None:
             cut = np.finfo(np.float64).eps * max(m.shape)
-        a, b = m, rhs
+        a, b, basis = m, rhs, None
         if m.shape[0] > m.shape[1]:
-            q, a = np.linalg.qr(m)
-            b = q.T @ rhs
+            with np.errstate(over="ignore"):
+                gram = m.T @ m
+            well = np.isfinite(gram).all()
+            if well:
+                lam, v = np.linalg.eigh(gram)
+                well = lam[0] > _GRAM_COND_REL * lam[-1]
+            if well:
+                s, basis = np.sqrt(lam[::-1]), v[:, ::-1]
+                a, b = np.diag(s), (basis / s).T @ (m.T @ rhs)
+            else:
+                self.diag["ill_conditioned_solves"] = self.diag.get("ill_conditioned_solves", 0) + 1
+                q, a = np.linalg.qr(m)
+                b = q.T @ rhs
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=cut)
         if rank < m.shape[1]:
             self.diag["rank_deficient_solves"] = self.diag.get("rank_deficient_solves", 0) + 1
             self.diag.setdefault("first_rank_deficient_iteration", len(self.residuals) + 1)
-        return sol
+        return sol if basis is None else basis @ sol
 
     def sweep(self, a: np.ndarray, g: np.ndarray) -> None:
         """Update every column of ``a`` in place by coordinate minimization.

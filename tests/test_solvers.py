@@ -384,6 +384,73 @@ def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, cutoff, rank):
     assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _solve_run(cutoff):
+    """A ``_Run`` on a tiny pcls3 problem, for calling its ``lstsq``."""
+    x, _ = make_problem(SymmetryPattern.PSYM3, (2, 2, 2), 1, seed=0)
+    return solvers._Run(
+        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff),
+        SymmetryPattern.PSYM3, "I x I x K", "AC",
+    )
+
+
+@pytest.mark.parametrize(
+    "build,cutoff,gram,rank,tol",
+    [
+        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -3, 17)), None, True, 17, 1e-9),
+        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -5, 17)), None, False, 17, 1e-12),
+        # eigenvalue ratio 1e-6 stays on the Gram path; the cutoff drops 3 of 8
+        (lambda rng: _with_spectrum(rng, 50, np.logspace(0, -3, 8)), 1e-2, True, 5, 1e-9),
+        (lambda rng: np.zeros((40, 6)), None, False, 0, 0.0),
+        # m.T @ m overflows to inf
+        (lambda rng: 1e160 * rng.standard_normal((40, 6)), None, False, 6, 1e-12),
+    ],
+    ids=["cond-1e3-gram", "cond-1e5-qr", "explicit-cutoff-gram", "zero-qr", "overflowing-gram-qr"],
+)
+def test_tall_solve_takes_gram_path_only_when_well_conditioned(
+    monkeypatch, build, cutoff, gram, rank, tol
+):
+    """A tall solve goes through m's singular basis (no QR, one lstsq call on
+    an R x R system with the same right-hand sides) exactly when its Gram's
+    eigenvalue ratio clears the guard, and counts each QR fallback."""
+    rng = np.random.default_rng(7)
+    m = build(rng)
+    rhs = rng.standard_normal((m.shape[0], 9))
+    ref = np.linalg.lstsq(m, rhs, rcond=cutoff)[0]
+    calls = []
+    plain_lstsq, plain_qr = np.linalg.lstsq, np.linalg.qr
+
+    def counted(a, b, rcond=None):
+        out = plain_lstsq(a, b, rcond=rcond)
+        calls.append((a.shape, b.shape, out[2]))
+        return out
+
+    def qr(a):
+        if gram:
+            raise AssertionError("well-conditioned solve reached np.linalg.qr")
+        return plain_qr(a)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    run = _solve_run(cutoff)
+    sol = run.lstsq(m, rhs)
+    r = m.shape[1]
+    assert calls == [((r, r), (r, rhs.shape[1]), rank)]
+    assert run.diag.get("ill_conditioned_solves", 0) == int(not gram)
+    assert run.diag.get("rank_deficient_solves", 0) == int(rank < r)
+    assert np.isfinite(sol).all()
+    assert np.linalg.norm(sol - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_tall_solve_accepts_one_right_hand_side():
+    rng = np.random.default_rng(8)
+    m = _with_spectrum(rng, 60, np.logspace(0, -2, 5))
+    rhs = rng.standard_normal(60)
+    sol = _solve_run(None).lstsq(m, rhs)
+    ref = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    assert sol.shape == (5,)
+    assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 _THREADS_SCRIPT = """
 import json
 import numpy as np
