@@ -1,14 +1,20 @@
 """Scalar hot loops: real cubic roots, quartic minimization, coordinate sweeps.
 
-Written as plain Python over scalars. :mod:`symtensor.numerics` wraps
-``cubic_roots`` and ``quartic_min``; the pcls solvers call
-``coordinate_sweep`` once per factor column.
+Written as plain Python over scalars and lists, whose scalar reads cost a
+fraction of numpy's. :mod:`symtensor.numerics` wraps ``cubic_roots`` and
+``quartic_min``; the pcls solvers call ``coordinate_sweep`` once per live
+factor column. The sweep writes exactly the values of a loop that skips
+j = i in each coordinate's sums and calls ``quartic_min`` for every
+coordinate: it zeroes v[i] instead of testing j != i (the zero terms leave
+both sums unchanged), and it solves the one-real-root cubic inline, where
+the missing quadratic term (p = 0) makes every dropped operation exact. The
+bits matter: random-start pcls runs are chaotic, and a sweep that differs
+only at roundoff (a BLAS dot for the sums, say) changes their iteration
+counts and can fail the acceptance gates.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = ["cubic_roots", "quartic_min", "coordinate_sweep"]
 
@@ -112,35 +118,53 @@ def quartic_min(c4: float, c3: float, c2: float, c1: float, c0: float):
     return best_x, best_v
 
 
-def _sweep(v, t, n_sweeps: int) -> None:
-    """Cyclic exact coordinate minimization of ||y - v v^T||_F^2 over v, in
-    place, given t[i][j] = y[i, j] + y[j, i].
+def coordinate_sweep(v: list, t: list, n_sweeps: int) -> None:
+    """Cyclic exact coordinate minimization of ||y - v v^T||_F^2 over the
+    list ``v``, in place, given the rows ``t[i][j] = y[i, j] + y[j, i]``.
 
     Each coordinate update holds the others fixed; the objective restricted
     to v[i] is a quartic with unit leading coefficient, minimized exactly.
     The constant term is irrelevant to the argmin and is passed as zero.
+
+    Setting ``v[i] = 0.0`` before folding coordinate i's sums over the whole
+    row drops the j != i test without changing a bit: the fold adds +0.0 to
+    the sum of squares and +-0.0 to the cross sum, and neither sum is ever
+    -0.0, so both stay as they were. The one-real-root case (discriminant
+    > 0) of ``quartic_min(1, 0, c2, c1, 0)`` is inlined. There the cubic
+    has no quadratic term (p = 0), so every term it drops from
+    ``cubic_roots`` and ``_polish`` divides by one or adds an exact zero;
+    that can only flip the sign of a zero, and in this case no zero sign
+    reaches the root (s > 0, and x is never -0.0), so the root is
+    ``cubic_roots``' own. The other cases call ``quartic_min``.
     """
-    n = len(v)
     for _ in range(n_sweeps):
-        for i in range(n):
-            ti = t[i]
+        for i, ti in enumerate(t):
+            v[i] = 0.0
             s2 = 0.0
             s1 = 0.0
-            for j in range(n):
-                if j != i:
-                    aj = v[j]
-                    s2 += aj * aj
-                    s1 += ti[j] * aj
+            for tij, aj in zip(ti, v):
+                s2 += aj * aj
+                s1 += tij * aj
             c2 = 2.0 * s2 - ti[i]  # ti[i] = 2 y[i, i]
             c1 = -2.0 * s1
-            x, _ = quartic_min(1.0, 0.0, c2, c1, 0.0)
-            v[i] = x
-
-
-def coordinate_sweep(a: np.ndarray, y: np.ndarray, n_sweeps: int) -> None:
-    """``_sweep`` on the vector ``a``, in place. ``y`` only enters through
-    y + y^T, so either orientation of y gives the same sweep. Pure Python
-    sweeps lists, whose scalar reads cost a fraction of numpy's."""
-    v = a.tolist()
-    _sweep(v, (y + y.T).tolist(), n_sweeps)
-    a[:] = v
+            q = 0.5 * c2
+            r = 0.25 * c1
+            half_q = 0.5 * r
+            third_p = q / 3.0
+            disc = half_q * half_q + third_p * third_p * third_p
+            if disc > 0.0:
+                s = math.sqrt(disc)
+                u = -half_q + s
+                w = -half_q - s
+                # _cbrt(u) + _cbrt(w), then _polish's two Newton steps
+                x = math.copysign(abs(u) ** (1.0 / 3.0), u)
+                x += math.copysign(abs(w) ** (1.0 / 3.0), w)
+                d = 3.0 * x * x + q
+                if d != 0.0:
+                    x -= ((x * x + q) * x + r) / d
+                d = 3.0 * x * x + q
+                if d != 0.0:
+                    x -= ((x * x + q) * x + r) / d
+                v[i] = x
+            else:
+                v[i] = quartic_min(1.0, 0.0, c2, c1, 0.0)[0]

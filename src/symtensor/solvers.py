@@ -19,11 +19,14 @@ taken from the eigendecomposition of the Gram ``m.T @ m``, and an
 ill-conditioned one by the thin QR ``m = QR``. Either way
 ``np.linalg.lstsq`` gets one square system with m's singular values, the
 same right-hand sides and the cutoff of the unreduced system; square and
-wide systems go to it unchanged. The residual is one Khatri-Rao GEMM (see
-:func:`core.residual_sq`). ``_Run`` and the steps call the core and
-numerics functions through this module's globals, and ``np.linalg.lstsq``
-and ``_kernels.coordinate_sweep`` as module attributes, so rebinding one of
-those names times or replaces that layer for every solver.
+wide systems go to it unchanged. The sweep symmetrizes all R target columns
+and converts them to Python lists in one pass, then calls
+``_kernels.coordinate_sweep`` once per live column. The residual is one
+Khatri-Rao GEMM (see :func:`core.residual_sq`). ``_Run`` and the steps call
+the core and numerics functions through this module's globals, and
+``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module attributes,
+so rebinding one of those names times or replaces that layer for every
+solver.
 """
 from __future__ import annotations
 
@@ -321,21 +324,25 @@ class _Run:
         """Update every column of ``a`` in place by coordinate minimization.
 
         Column r fits the unvec of g[:, r] as an outer product a_r a_r^T.
-        Numerically dead columns of g cannot steer their summand, so the
-        matching column of a is redrawn from a standard normal instead.
+        All R columns are symmetrized and converted to Python lists in one
+        pass, and ``_kernels.coordinate_sweep`` runs once per live column on
+        its list; ``a`` is written back once. Numerically dead columns of g
+        cannot steer their summand, so the matching column of a is redrawn
+        from a standard normal instead, in column order.
         """
-        n = a.shape[0]
+        n, rank = a.shape
         floor = _DEAD_COLUMN_REL * float(np.linalg.norm(g))
-        for r in range(a.shape[1]):
-            col = g[:, r]
-            if float(np.linalg.norm(col)) <= floor:
-                a[:, r] = self.rng.standard_normal(n)
+        norms = np.linalg.norm(g, axis=0)
+        g3 = g.reshape(n, n, rank, order="F")
+        rows = (g3 + g3.transpose(1, 0, 2)).transpose(2, 0, 1).tolist()
+        cols = a.T.tolist()
+        for r in range(rank):
+            if norms[r] <= floor:
+                cols[r] = self.rng.standard_normal(n)
                 self.diag["redrawn_columns"] = self.diag.get("redrawn_columns", 0) + 1
-                continue
-            y = np.ascontiguousarray(col.reshape(n, n, order="F"))
-            ar = np.ascontiguousarray(a[:, r])
-            _kernels.coordinate_sweep(ar, y, self.cfg.inner_sweeps)
-            a[:, r] = ar
+            else:
+                _kernels.coordinate_sweep(cols[r], rows[r], self.cfg.inner_sweeps)
+        a[:] = np.transpose(cols)
 
     def iterate(self, step, pattern: SymmetryPattern, defects: list[float] | None = None):
         """Run ``step`` (one outer iteration, returning the model's factors)

@@ -1,9 +1,14 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written from the definitions, element by element, with no
-shared code with the package, so agreement is meaningful evidence.
+shared code with the package, so agreement is meaningful evidence. The two
+sweep references at the end are the exception: they call the package's scalar
+``quartic_min`` on purpose, because they pin the column sweep's arithmetic
+and order bit for bit, not its root finding.
 """
 import numpy as np
+
+from symtensor._kernels import quartic_min
 
 
 def unfold_oracle(t: np.ndarray, mode: int) -> np.ndarray:
@@ -78,3 +83,42 @@ def cubic_discriminant(p: float, q: float, r: float) -> float:
     pp = q - p * p / 3.0
     qq = 2.0 * p ** 3 / 27.0 - p * q / 3.0 + r
     return (qq / 2.0) ** 2 + (pp / 3.0) ** 3
+
+
+def sweep_array_loop(a0: np.ndarray, y: np.ndarray, sweeps: int) -> np.ndarray:
+    """Cyclic coordinate minimization of ||y - a a^T||_F^2 from a0 over numpy
+    arrays: each coordinate's sums skip j = i, and every coordinate goes
+    through ``quartic_min``."""
+    a = np.array(a0, dtype=np.float64)
+    n = len(a)
+    for _ in range(sweeps):
+        for i in range(n):
+            s2 = s1 = 0.0
+            for j in range(n):
+                if j != i:
+                    s2 += a[j] * a[j]
+                    s1 += (y[i, j] + y[j, i]) * a[j]
+            a[i] = quartic_min(1.0, 0.0, 2.0 * s2 - 2.0 * y[i, i], -2.0 * s1, 0.0)[0]
+    return a
+
+
+def column_sweep_oracle(a: np.ndarray, g: np.ndarray, rng, sweeps: int, dead_rel: float):
+    """One pcls column sweep, column by column: returns the new factor and the
+    number of redrawn columns.
+
+    Column r is dead when its norm is at most dead_rel times g's norm; it is
+    redrawn from ``rng.standard_normal(n)``. A live column runs
+    ``sweep_array_loop`` against g[:, r] reshaped F-order to n x n.
+    """
+    n, rank = a.shape
+    out = a.copy()
+    floor = dead_rel * float(np.linalg.norm(g))
+    redrawn = 0
+    for r in range(rank):
+        col = g[:, r]
+        if float(np.linalg.norm(col)) <= floor:
+            out[:, r] = rng.standard_normal(n)
+            redrawn += 1
+        else:
+            out[:, r] = sweep_array_loop(out[:, r], col.reshape(n, n, order="F"), sweeps)
+    return out, redrawn

@@ -319,28 +319,58 @@ def test_sweep_against_roots_oracle():
         c1 = -2.0 * float((y[others, i] + y[i, others]) @ xo)
         expect[i] = roots_oracle_quartic_min(np.array([1.0, 0.0, c2, c1, 0.0]))[0]
 
-    got = a0.copy()
-    _kernels.coordinate_sweep(got, y, 1)
+    got = a0.tolist()
+    _kernels.coordinate_sweep(got, (y + y.T).tolist(), 1)
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
 
 
-def test_sweep_bitwise_equals_array_loop():
-    """The list-based sweep does the array loop's arithmetic in its order."""
+def _sweep_cases(rng):
+    """(start, y, sweeps) inputs that reach every root case of the sweep."""
+    for n, sweeps in ((1, 1), (2, 2), (6, 3), (17, 1)):
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4), rng.standard_normal((n, n)), sweeps
+    # y = -3 I: every cross sum is zero and every cubic has the one root 0
+    yield rng.standard_normal(5), -3.0 * np.eye(5), 2
+    # y = 4 I from zero: three roots (+-2 and 0) for the first coordinate, then
+    # c2 = c1 = 0 and a triple root for the next
+    yield np.zeros(5), 4.0 * np.eye(5), 2
+    # then three roots within 1e-8 of each other, merged into one
+    yield np.zeros(2), np.diag([2.0 ** -20, 2.0 ** -20 * (1.0 + 2.0 ** -52)]), 1
+    # a symmetric y far from rank one, from a small start: double wells
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    yield 1e-2 * rng.standard_normal(8), q @ np.diag([9.0, 8.0, 7.0, 6.0, -1.0, 0.5, 3.0, 5.0]) @ q.T, 3
+    yield rng.standard_normal(60), rng.standard_normal((60, 60)), 1
+
+
+def test_sweep_bitwise_equals_array_loop(monkeypatch):
+    """The list sweep does the array loop's arithmetic in its order, bit for
+    bit, in the inline one-root case and in the cases it hands to
+    ``quartic_min`` (three distinct roots, and roots merged into fewer)."""
     from symtensor import _kernels
 
+    from _oracles import sweep_array_loop
+
+    plain_min, plain_roots = _kernels.quartic_min, _kernels.cubic_roots
+    delegated, root_counts = [], []
+
+    def counted_min(*c):
+        delegated.append(c)
+        return plain_min(*c)
+
+    def counted_roots(p, q, r):
+        out = plain_roots(p, q, r)
+        root_counts.append(out[0])
+        return out
+
     rng = np.random.default_rng(110)
-    for n, sweeps in ((1, 1), (2, 2), (6, 3), (17, 1)):
-        a0 = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
-        y = rng.standard_normal((n, n))
-        expect = a0.copy()
-        for _ in range(sweeps):
-            for i in range(n):
-                s2 = s1 = 0.0
-                for j in range(n):
-                    if j != i:
-                        s2 += expect[j] * expect[j]
-                        s1 += (y[i, j] + y[j, i]) * expect[j]
-                expect[i] = _kernels.quartic_min(1.0, 0.0, 2.0 * s2 - 2.0 * y[i, i], -2.0 * s1, 0.0)[0]
-        got = a0.copy()
-        _kernels.coordinate_sweep(got, y, sweeps)
+    for a0, y, sweeps in _sweep_cases(rng):
+        expect = sweep_array_loop(a0, y, sweeps)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "quartic_min", counted_min)
+            m.setattr(_kernels, "cubic_roots", counted_roots)
+            got = a0.tolist()
+            _kernels.coordinate_sweep(got, (y + y.T).tolist(), sweeps)
         assert np.array_equal(got, expect)
+        assert np.array(got).tobytes() == expect.tobytes()  # signed zeros too
+    assert len(delegated) == len(root_counts) > 0
+    assert 3 in root_counts
+    assert {1, 2} & set(root_counts)

@@ -251,6 +251,31 @@ def test_inner_sweeps_still_converge():
     assert trace.stop_reason is StopReason.CONVERGED
 
 
+def test_column_sweep_matches_per_column_reference():
+    """``_Run.sweep`` converts all columns at once and writes ``a`` back once,
+    yet its factor equals, bit for bit, a column-by-column sweep over numpy
+    arrays; the two dead columns are redrawn from the seed's first two
+    standard normal draws, in column order."""
+    from _oracles import column_sweep_oracle
+
+    n, r, seed = 9, 6, 5
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((n, r))
+    g = rng.standard_normal((r, n * n)).T  # F-ordered, as the solvers pass it
+    g[:, [1, 4]] = 0.0
+    run = _solve_run(inner_sweeps=2, seed=seed)
+    expect, redrawn = column_sweep_oracle(
+        a, g, np.random.default_rng(seed), 2, solvers._DEAD_COLUMN_REL
+    )
+    got = a.copy()
+    run.sweep(got, g)
+    assert np.array_equal(got, expect)
+    assert redrawn == run.diag["redrawn_columns"] == 2
+    draws = np.random.default_rng(seed)
+    assert np.array_equal(got[:, 1], draws.standard_normal(n))
+    assert np.array_equal(got[:, 4], draws.standard_normal(n))
+
+
 # --------------------------------------------------------------------- #
 # Stopping behavior and determinism                                       #
 # --------------------------------------------------------------------- #
@@ -384,11 +409,12 @@ def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, cutoff, rank):
     assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _solve_run(cutoff):
-    """A ``_Run`` on a tiny pcls3 problem, for calling its ``lstsq``."""
+def _solve_run(cutoff=None, **cfg):
+    """A ``_Run`` on a tiny pcls3 problem, for calling its ``lstsq`` and
+    ``sweep``."""
     x, _ = make_problem(SymmetryPattern.PSYM3, (2, 2, 2), 1, seed=0)
     return solvers._Run(
-        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff),
+        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff, **cfg),
         SymmetryPattern.PSYM3, "I x I x K", "AC",
     )
 
