@@ -2,15 +2,16 @@
 
 Written as plain Python over scalars and lists, whose scalar reads cost a
 fraction of numpy's. :mod:`symtensor.numerics` wraps ``cubic_roots`` and
-``quartic_min``; the pcls solvers call ``coordinate_sweep`` once per live
-factor column. The sweep writes exactly the values of a loop that skips
-j = i in each coordinate's sums and calls ``quartic_min`` for every
-coordinate: it zeroes v[i] instead of testing j != i (the zero terms leave
-both sums unchanged), and it solves the one-real-root cubic inline, where
-the missing quadratic term (p = 0) makes every dropped operation exact. The
-bits matter: random-start pcls runs are chaotic, and a sweep that differs
-only at roundoff (a BLAS dot for the sums, say) changes their iteration
-counts and can fail the acceptance gates.
+``quartic_min``; the pcls solvers call ``coordinate_sweep``, one cyclic pass
+over the coordinates, once per live factor column. The sweep writes exactly
+the values of a loop that skips j = i in each coordinate's sums and calls
+``quartic_min`` for every coordinate: it zeroes v[i] instead of testing
+j != i (the zero terms leave both sums unchanged), and it solves the
+one-real-root cubic inline, where the missing quadratic term (p = 0) makes
+every dropped operation exact. The bits matter: random-start pcls runs are
+chaotic, and a sweep that differs only at roundoff (a BLAS dot for the
+sums, say) changes their iteration counts and can fail the acceptance
+gates.
 """
 from __future__ import annotations
 
@@ -118,9 +119,10 @@ def quartic_min(c4: float, c3: float, c2: float, c1: float, c0: float):
     return best_x, best_v
 
 
-def coordinate_sweep(v: list, t: list, n_sweeps: int) -> None:
-    """Cyclic exact coordinate minimization of ||y - v v^T||_F^2 over the
-    list ``v``, in place, given the rows ``t[i][j] = y[i, j] + y[j, i]``.
+def coordinate_sweep(v: list, t: list) -> None:
+    """One cyclic pass of exact coordinate minimization of ||y - v v^T||_F^2
+    over the list ``v``, in place, given the rows ``t[i][j] = y[i, j] +
+    y[j, i]``.
 
     Each coordinate update holds the others fixed; the objective restricted
     to v[i] is a quartic with unit leading coefficient, minimized exactly.
@@ -137,34 +139,33 @@ def coordinate_sweep(v: list, t: list, n_sweeps: int) -> None:
     reaches the root (s > 0, and x is never -0.0), so the root is
     ``cubic_roots``' own. The other cases call ``quartic_min``.
     """
-    for _ in range(n_sweeps):
-        for i, ti in enumerate(t):
-            v[i] = 0.0
-            s2 = 0.0
-            s1 = 0.0
-            for tij, aj in zip(ti, v):
-                s2 += aj * aj
-                s1 += tij * aj
-            c2 = 2.0 * s2 - ti[i]  # ti[i] = 2 y[i, i]
-            c1 = -2.0 * s1
-            q = 0.5 * c2
-            r = 0.25 * c1
-            half_q = 0.5 * r
-            third_p = q / 3.0
-            disc = half_q * half_q + third_p * third_p * third_p
-            if disc > 0.0:
-                s = math.sqrt(disc)
-                u = -half_q + s
-                w = -half_q - s
-                # _cbrt(u) + _cbrt(w), then _polish's two Newton steps
-                x = math.copysign(abs(u) ** (1.0 / 3.0), u)
-                x += math.copysign(abs(w) ** (1.0 / 3.0), w)
-                d = 3.0 * x * x + q
-                if d != 0.0:
-                    x -= ((x * x + q) * x + r) / d
-                d = 3.0 * x * x + q
-                if d != 0.0:
-                    x -= ((x * x + q) * x + r) / d
-                v[i] = x
-            else:
-                v[i] = quartic_min(1.0, 0.0, c2, c1, 0.0)[0]
+    for i, ti in enumerate(t):
+        v[i] = 0.0
+        s2 = 0.0
+        s1 = 0.0
+        for tij, aj in zip(ti, v):
+            s2 += aj * aj
+            s1 += tij * aj
+        c2 = 2.0 * s2 - ti[i]  # ti[i] = 2 y[i, i]
+        c1 = -2.0 * s1
+        q = 0.5 * c2
+        r = 0.25 * c1
+        half_q = 0.5 * r
+        third_p = q / 3.0
+        disc = half_q * half_q + third_p * third_p * third_p
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            u = -half_q + s
+            w = -half_q - s
+            # _cbrt(u) + _cbrt(w), then _polish's two Newton steps
+            x = math.copysign(abs(u) ** (1.0 / 3.0), u)
+            x += math.copysign(abs(w) ** (1.0 / 3.0), w)
+            d = 3.0 * x * x + q
+            if d != 0.0:
+                x -= ((x * x + q) * x + r) / d
+            d = 3.0 * x * x + q
+            if d != 0.0:
+                x -= ((x * x + q) * x + r) / d
+            v[i] = x
+        else:
+            v[i] = quartic_min(1.0, 0.0, c2, c1, 0.0)[0]

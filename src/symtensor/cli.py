@@ -21,14 +21,12 @@ from .harness import (
     ExperimentSpec,
     RunSummary,
     generate_problem,
-    init_shapes,
     run_experiment,
     solve_problem,
-    supported_solvers,
     write_trace_csv,
 )
 from .io import read_model, read_tensor, write_model, write_tensor
-from .solvers import InitStrategy, SolverConfig, StopReason, initialize
+from .solvers import SolverConfig, StopReason, initialize
 
 _STOP_EXIT_CODES = {
     StopReason.CONVERGED: 0,
@@ -184,21 +182,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.solver not in supported_solvers(args.pattern):
+    if args.solver not in SOLVERS[args.pattern]:
         print(
             f"error: solver {args.solver!r} is not available for pattern "
-            f"{args.pattern!r} (available: {', '.join(supported_solvers(args.pattern))})",
+            f"{args.pattern!r} (available: {', '.join(SOLVERS[args.pattern])})",
             file=sys.stderr,
         )
         return 2
     x = read_tensor(args.input)
-    shapes = init_shapes(args.pattern, x.shape, args.rank)
-    if args.init_model:
-        reference = read_model(args.init_model)
-        strategy = InitStrategy.perturbed_truth(args.init_sigma, reference)
-    else:
-        strategy = InitStrategy.random_gaussian()
-    init = initialize(strategy, shapes, np.random.default_rng(args.seed))
+    shapes = [(n, args.rank) for n in SymmetryPattern(args.pattern).factor_rows(x.shape)]
+    reference = read_model(args.init_model) if args.init_model else None
+    init = initialize(shapes, np.random.default_rng(args.seed), reference, args.init_sigma)
     cfg = SolverConfig(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
     model, trace = solve_problem(args.pattern, args.solver, x, args.rank, init, cfg)
     write_model(args.output_model, model)
@@ -255,7 +249,7 @@ def cmd_benchmark(args) -> int:
         jobs = [(tuple(_scaled(d, args.scale) for d in dims), _scaled(rank, args.scale), out_dir)]
     # Every spec is checked before the first run creates a directory.
     specs = [
-        ExperimentSpec(kind=kind, dims=d, rank=r, solvers=supported_solvers(kind),
+        ExperimentSpec(kind=kind, dims=d, rank=r, solvers=tuple(SOLVERS[kind]),
                        base_seed=args.base_seed, config=cfg, out_dir=o, **opts)
         for d, r, o in jobs
     ]

@@ -19,7 +19,6 @@ import numpy as np
 from .core import FactorModel, SymmetryPattern, reconstruct
 from .solvers import (
     ConvergenceTrace,
-    InitStrategy,
     SolverConfig,
     StopReason,
     als3_sym,
@@ -34,9 +33,7 @@ from .solvers import (
 __all__ = [
     "SOLVERS",
     "generate_problem",
-    "init_shapes",
     "solve_problem",
-    "supported_solvers",
     "ExperimentSpec",
     "RunRecord",
     "AggregateStats",
@@ -99,17 +96,6 @@ def generate_problem(
     return reconstruct(model), model
 
 
-def init_shapes(kind: str, dims: tuple[int, ...], rank: int) -> list[tuple[int, int]]:
-    """Shapes of the starting factors shared by every solver for ``kind``."""
-    return [(rows, rank) for rows in _pattern(kind).factor_rows(tuple(dims))]
-
-
-def supported_solvers(kind: str) -> tuple[str, ...]:
-    """Solver names runnable on ``kind`` ("pcls" always; "als" where defined)."""
-    _pattern(kind)
-    return tuple(SOLVERS[kind])
-
-
 def solve_problem(
     kind: str,
     solver: str,
@@ -119,7 +105,8 @@ def solve_problem(
     cfg: SolverConfig,
 ) -> tuple[FactorModel, ConvergenceTrace]:
     """Run the named solver on a tensor of the given kind."""
-    if solver not in supported_solvers(kind):
+    _pattern(kind)
+    if solver not in SOLVERS[kind]:
         raise ValueError(f"solver {solver!r} is not available for kind {kind!r}")
     return SOLVERS[kind][solver](x, rank, init[0] if kind == "fsym4" else init, cfg)
 
@@ -156,9 +143,8 @@ class ExperimentSpec:
             raise ValueError("collinearity must lie in [0, 1)")
         if not self.init_sigma >= 0.0:
             raise ValueError(f"init_sigma must be >= 0, got {self.init_sigma}")
-        allowed = supported_solvers(self.kind)
         for s in self.solvers:
-            if s not in allowed:
+            if s not in SOLVERS[self.kind]:
                 raise ValueError(f"solver {s!r} not available for kind {self.kind!r}")
 
 
@@ -248,13 +234,9 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
         x, truth = generate_problem(
             spec.kind, spec.dims, spec.rank, _seed_for(spec.base_seed, 0, idx), spec.collinearity
         )
-        if spec.init == "perturbed":
-            strategy = InitStrategy.perturbed_truth(spec.init_sigma, truth)
-        else:
-            strategy = InitStrategy.random_gaussian()
-        init = initialize(
-            strategy, init_shapes(spec.kind, spec.dims, spec.rank), _seed_for(spec.base_seed, 1, idx)
-        )
+        shapes = [(n, spec.rank) for n in _pattern(spec.kind).factor_rows(spec.dims)]
+        reference = truth if spec.init == "perturbed" else None
+        init = initialize(shapes, _seed_for(spec.base_seed, 1, idx), reference, spec.init_sigma)
         redraw_seed = int(
             np.random.SeedSequence((spec.base_seed, 2, idx)).generate_state(1)[0]
         )

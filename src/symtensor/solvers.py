@@ -59,8 +59,6 @@ __all__ = [
     "StopReason",
     "SolverConfig",
     "ConvergenceTrace",
-    "InitKind",
-    "InitStrategy",
     "initialize",
     "als3",
     "als3_sym",
@@ -78,6 +76,12 @@ _DEAD_COLUMN_REL = 1e-14
 # are rank-deficient at the default cutoff fall far below it and take the QR.
 _GRAM_COND_REL = 1e-8
 _ORTHO_DRIFT_TOL = 1e-8
+# A run stalls when its residual moves by at most _STALL_EPS relative over the
+# last _STALL_WINDOW iterations. Both are fixed: no caller sets them, and the
+# acceptance gates' iteration counts and stall outcomes are measured with
+# these values.
+_STALL_WINDOW = 50
+_STALL_EPS = 1e-14
 
 
 class StopReason(Enum):
@@ -90,21 +94,13 @@ class StopReason(Enum):
 class SolverConfig:
     """Iteration and stopping parameters shared by every solver.
 
-    tol applies to the squared Frobenius residual. A run stalls when the
-    relative residual change over the last stall_window iterations drops
-    to stall_eps or below. pinv_cutoff is the relative singular-value
-    threshold of the least-squares solves (singular values at or below
-    pinv_cutoff * sigma_max count as zero); None picks
-    max(rows, cols) * machine epsilon. seed drives only the dead-column
-    redraws inside the PCLS sweeps.
+    max_iters caps the outer iterations; tol applies to the squared
+    Frobenius residual; seed drives only the dead-column redraws inside the
+    PCLS sweeps.
     """
 
     max_iters: int = 20000
     tol: float = 1e-10
-    inner_sweeps: int = 1
-    pinv_cutoff: float | None = None
-    stall_window: int = 50
-    stall_eps: float = 1e-14
     seed: int = 0
 
     def __post_init__(self):
@@ -112,12 +108,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be >= 1")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
-        if self.pinv_cutoff is not None and not self.pinv_cutoff > 0:
-            raise ValueError("pinv_cutoff must be positive")
 
 
 @dataclass
@@ -157,54 +147,30 @@ class ConvergenceTrace:
         return self.residuals[-1]
 
 
-class InitKind(Enum):
-    RANDOM_GAUSSIAN = "random-gaussian"
-    PERTURBED_TRUTH = "perturbed-truth"
-
-
-@dataclass(frozen=True)
-class InitStrategy:
-    """How starting factors are drawn.
-
-    RANDOM_GAUSSIAN ignores sigma/reference. PERTURBED_TRUTH adds
-    sigma * standard normal noise entrywise to the reference model factors.
-    """
-
-    kind: InitKind
-    sigma: float = 0.0
-    reference: FactorModel | None = None
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.kind is InitKind.PERTURBED_TRUTH and self.reference is None:
-            raise ValueError("PERTURBED_TRUTH requires a reference model")
-
-    @staticmethod
-    def random_gaussian() -> "InitStrategy":
-        return InitStrategy(InitKind.RANDOM_GAUSSIAN)
-
-    @staticmethod
-    def perturbed_truth(sigma: float, reference: FactorModel) -> "InitStrategy":
-        return InitStrategy(InitKind.PERTURBED_TRUTH, sigma, reference)
-
-
 def initialize(
-    strategy: InitStrategy,
     shapes: Sequence[tuple[int, int]],
     rng: np.random.Generator,
+    reference: FactorModel | None = None,
+    sigma: float = 0.0,
 ) -> list[np.ndarray]:
-    """Draw starting factor matrices of the given shapes."""
+    """Draw starting factor matrices of the given shapes.
+
+    Without a reference every factor is standard normal, drawn in order.
+    With one, each reference factor gets sigma * standard normal noise
+    added entrywise; its factors must have exactly ``shapes``.
+    """
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     shapes = [tuple(s) for s in shapes]
-    if strategy.kind is InitKind.RANDOM_GAUSSIAN:
+    if reference is None:
         return [rng.standard_normal(s) for s in shapes]
-    ref = strategy.reference.factors
+    ref = reference.factors
     if [f.shape for f in ref] != shapes:
         raise ValueError(
             f"reference factors have shapes {[f.shape for f in ref]}, "
             f"solver needs {shapes}"
         )
-    return [f + strategy.sigma * rng.standard_normal(f.shape) for f in ref]
+    return [f + sigma * rng.standard_normal(f.shape) for f in ref]
 
 
 # The rank-one refits leave each summand's internal scale split
@@ -291,14 +257,14 @@ class _Run:
         ``np.linalg.lstsq`` receives the square R and ``Q.T @ rhs``. Either
         way the reduced system has m's singular values and one call solves
         every right-hand side, so the solution and the rank are those of the
-        unreduced system. The cutoff comes from m's shape (``pinv_cutoff``,
-        or machine epsilon times max(rows, cols) of m), not from the reduced
-        system's, which would keep more singular values. Square and wide
-        systems go to ``np.linalg.lstsq`` as they are.
+        unreduced system. The cutoff is machine epsilon times max(rows,
+        cols) of m, not of the reduced system, which would keep more
+        singular values. Square and wide systems go to ``np.linalg.lstsq``
+        as they are.
         """
-        cut = self.cfg.pinv_cutoff
-        if cut is None:
-            cut = np.finfo(np.float64).eps * max(m.shape)
+        # numpy's own default cutoff for m. It is fixed: no caller sets
+        # another, and the rank-deficient counts are measured with it.
+        cut = np.finfo(np.float64).eps * max(m.shape)
         a, b, basis = m, rhs, None
         if m.shape[0] > m.shape[1]:
             with np.errstate(over="ignore"):
@@ -341,7 +307,7 @@ class _Run:
                 cols[r] = self.rng.standard_normal(n)
                 self.diag["redrawn_columns"] = self.diag.get("redrawn_columns", 0) + 1
             else:
-                _kernels.coordinate_sweep(cols[r], rows[r], self.cfg.inner_sweeps)
+                _kernels.coordinate_sweep(cols[r], rows[r])
         a[:] = np.transpose(cols)
 
     def iterate(self, step, pattern: SymmetryPattern, defects: list[float] | None = None):
@@ -366,10 +332,9 @@ class _Run:
         res = self.residuals[-1]
         if res <= self.cfg.tol:
             return StopReason.CONVERGED
-        w = self.cfg.stall_window
-        if len(self.residuals) > w:
-            prev = self.residuals[-1 - w]
-            if abs(res - prev) <= self.cfg.stall_eps * max(prev, 1e-300):
+        if len(self.residuals) > _STALL_WINDOW:
+            prev = self.residuals[-1 - _STALL_WINDOW]
+            if abs(res - prev) <= _STALL_EPS * max(prev, 1e-300):
                 return StopReason.STALLED
         if not _scales_sane(factors):
             self.diag["scale_guard_iteration"] = len(self.residuals)

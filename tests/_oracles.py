@@ -102,12 +102,12 @@ def sweep_array_loop(a0: np.ndarray, y: np.ndarray, sweeps: int) -> np.ndarray:
     return a
 
 
-def column_sweep_oracle(a: np.ndarray, g: np.ndarray, rng, sweeps: int, dead_rel: float):
+def column_sweep_oracle(a: np.ndarray, g: np.ndarray, rng, dead_rel: float):
     """One pcls column sweep, column by column: returns the new factor and the
     number of redrawn columns.
 
     Column r is dead when its norm is at most dead_rel times g's norm; it is
-    redrawn from ``rng.standard_normal(n)``. A live column runs
+    redrawn from ``rng.standard_normal(n)``. A live column runs one pass of
     ``sweep_array_loop`` against g[:, r] reshaped F-order to n x n.
     """
     n, rank = a.shape
@@ -120,5 +120,5 @@ def column_sweep_oracle(a: np.ndarray, g: np.ndarray, rng, sweeps: int, dead_rel
             out[:, r] = rng.standard_normal(n)
             redrawn += 1
         else:
-            out[:, r] = sweep_array_loop(out[:, r], col.reshape(n, n, order="F"), sweeps)
+            out[:, r] = sweep_array_loop(out[:, r], col.reshape(n, n, order="F"), 1)
     return out, redrawn

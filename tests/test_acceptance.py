@@ -20,7 +20,6 @@ import pytest
 from symtensor import (
     ExperimentSpec,
     FactorModel,
-    InitStrategy,
     SolverConfig,
     StopReason,
     SymmetryPattern,
@@ -99,9 +98,7 @@ def _random_start(i):
     x, _ = generate_problem("psym3", (17, 17, 18), 17, rng, RANDOM_START_COLLINEARITY)
     cfg = SolverConfig(max_iters=20000, tol=1e-10)
     init = initialize(
-        InitStrategy.random_gaussian(),
-        [(17, 17), (18, 17)],
-        np.random.default_rng(np.random.SeedSequence((0, 1, i))),
+        [(17, 17), (18, 17)], np.random.default_rng(np.random.SeedSequence((0, 1, i)))
     )
     _, tp = pcls3(x, 17, [f.copy() for f in init], cfg)
     _, ta = als3_sym(x, 17, [f.copy() for f in init], cfg)

@@ -224,6 +224,24 @@ def test_decompose_rejects_non_finite_model_at_read(tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("init_model", [False, True], ids=["random-start", "init-model"])
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_decompose_rejects_bad_init_sigma(tmp_path, sigma, init_model):
+    x, truth = symtensor.generate_problem("psym3", (4, 4, 5), 2, np.random.default_rng(64))
+    write_tensor(str(tmp_path / "x.txt"), x)
+    write_model(str(tmp_path / "truth.txt"), truth)
+    start = ("--init-model", "truth.txt") if init_model else ()
+    res = run_cli(
+        "decompose", "--input", "x.txt", "--solver", "pcls", "--pattern", "psym3",
+        "--rank", "2", *start, "--init-sigma", sigma, cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error:") and "sigma" in res.stderr
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_decompose_summary_names_scale_guard_and_workarounds(tmp_path):
     rng = np.random.default_rng(40)
     x, truth = symtensor.generate_problem("psym3", (6, 6, 5), 2, rng)

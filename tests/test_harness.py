@@ -11,18 +11,17 @@ from symtensor import (
     AggregateStats,
     ConvergenceTrace,
     ExperimentSpec,
+    SOLVERS,
     SolverConfig,
     StopReason,
     SymmetryPattern,
     generate_problem,
-    init_shapes,
     iterations_to_threshold,
     read_trace_csv,
     residual_sq,
     run_experiment,
     solve_problem,
     square_matricize,
-    supported_solvers,
     symmetry_check,
     write_trace_csv,
 )
@@ -32,6 +31,14 @@ KIND_DIMS = {
     "fsym4": (4, 4, 4, 4),
     "psym4-case1": (4, 3, 4, 3),
     "psym4-case2": (4, 3, 4, 2),
+}
+# The rows of each kind's distinct factors at KIND_DIMS, and its solvers.
+KIND_ROWS = {"psym3": (6, 5), "fsym4": (4,), "psym4-case1": (4, 3), "psym4-case2": (4, 3, 2)}
+KIND_SOLVERS = {
+    "psym3": ("pcls", "als"),
+    "fsym4": ("pcls", "als"),
+    "psym4-case1": ("pcls",),
+    "psym4-case2": ("pcls",),
 }
 
 
@@ -50,6 +57,8 @@ def test_generated_tensor_is_symmetric_and_exactly_rank_r(kind):
     assert residual_sq(x, model) == 0.0
     assert model.rank == 3
     assert x.shape == KIND_DIMS[kind]
+    assert pattern.factor_rows(x.shape) == KIND_ROWS[kind]
+    assert [f.shape for f in model.factors] == [(n, 3) for n in KIND_ROWS[kind]]
 
 
 def test_fsym4_square_matricization_is_psd():
@@ -88,24 +97,10 @@ def test_collinearity_range_validated():
 def test_unknown_kind_lists_known_ones():
     with pytest.raises(ValueError, match="psym3"):
         generate_problem("psym5", (4, 4, 3), 2, np.random.default_rng(0))
-
-
-def test_init_shapes_per_kind():
-    assert init_shapes("psym3", (17, 17, 18), 4) == [(17, 4), (18, 4)]
-    assert init_shapes("fsym4", (5, 5, 5, 5), 2) == [(5, 2)]
-    assert init_shapes("psym4-case1", (4, 3, 4, 3), 2) == [(4, 2), (3, 2)]
-    assert init_shapes("psym4-case2", (4, 3, 4, 2), 2) == [(4, 2), (3, 2), (2, 2)]
-    with pytest.raises(ValueError):
-        init_shapes("psym3", (3, 4, 5), 2)
-
-
-def test_supported_solvers():
-    assert supported_solvers("psym3") == ("pcls", "als")
-    assert supported_solvers("fsym4") == ("pcls", "als")
-    assert supported_solvers("psym4-case1") == ("pcls",)
-    assert supported_solvers("psym4-case2") == ("pcls",)
-    with pytest.raises(ValueError):
-        supported_solvers("nope")
+    with pytest.raises(ValueError, match="psym3"):
+        solve_problem("nope", "pcls", np.zeros((4, 4, 3)), 2, [], SolverConfig())
+    with pytest.raises(ValueError, match="psym3"):
+        ExperimentSpec(kind="nope", dims=(4, 4, 3), rank=2)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_DIMS))
@@ -114,7 +109,8 @@ def test_solve_problem_dispatch_closes_loop(kind):
     rng = np.random.default_rng(45)
     x, model = generate_problem(kind, KIND_DIMS[kind], 2, rng)
     init = [f.copy() for f in model.factors]
-    for solver in supported_solvers(kind):
+    assert tuple(SOLVERS[kind]) == KIND_SOLVERS[kind]
+    for solver in SOLVERS[kind]:
         _, trace = solve_problem(kind, solver, x, 2, [f.copy() for f in init], SolverConfig())
         assert trace.stop_reason is StopReason.CONVERGED
         assert trace.iterations == 1
@@ -243,7 +239,7 @@ def test_run_experiment_truth_start_converges_everywhere(kind):
         kind=kind,
         dims=KIND_DIMS[kind],
         rank=2,
-        solvers=supported_solvers(kind),
+        solvers=tuple(SOLVERS[kind]),
         n_seeds=3,
         init="perturbed",
         init_sigma=0.0,
@@ -274,7 +270,7 @@ def test_summary_json_schema(tmp_path):
     exp = doc["experiment"]
     assert list(exp) == ["kind", "dims", "rank", "solvers", "n_seeds", "base_seed",
                          "init", "init_sigma", "collinearity", "config"]
-    assert exp["config"]["max_iters"] == 2000
+    assert list(exp["config"].items()) == [("max_iters", 2000), ("tol", 1e-10), ("seed", 0)]
     run = doc["runs"][0]
     for key in ("seed_index", "solver", "iterations", "final_residual",
                 "wall_time", "stop_reason", "trace_path"):

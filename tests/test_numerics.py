@@ -320,7 +320,7 @@ def test_sweep_against_roots_oracle():
         expect[i] = roots_oracle_quartic_min(np.array([1.0, 0.0, c2, c1, 0.0]))[0]
 
     got = a0.tolist()
-    _kernels.coordinate_sweep(got, (y + y.T).tolist(), 1)
+    _kernels.coordinate_sweep(got, (y + y.T).tolist())
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
 
 
@@ -367,8 +367,9 @@ def test_sweep_bitwise_equals_array_loop(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(_kernels, "quartic_min", counted_min)
             m.setattr(_kernels, "cubic_roots", counted_roots)
-            got = a0.tolist()
-            _kernels.coordinate_sweep(got, (y + y.T).tolist(), sweeps)
+            got, t = a0.tolist(), (y + y.T).tolist()
+            for _ in range(sweeps):
+                _kernels.coordinate_sweep(got, t)
         assert np.array_equal(got, expect)
         assert np.array(got).tobytes() == expect.tobytes()  # signed zeros too
     assert len(delegated) == len(root_counts) > 0

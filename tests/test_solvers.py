@@ -18,8 +18,6 @@ from symtensor import solvers
 from symtensor import (
     ConvergenceTrace,
     FactorModel,
-    InitKind,
-    InitStrategy,
     SolverConfig,
     StopReason,
     SymmetryPattern,
@@ -156,11 +154,7 @@ def test_als3_sym_defect_zero_at_truth_nonzero_from_random():
 
 def _perturbed(model, sigma, seed):
     rng = np.random.default_rng(seed)
-    return initialize(
-        InitStrategy.perturbed_truth(sigma, model),
-        [f.shape for f in model.factors],
-        rng,
-    )
+    return initialize([f.shape for f in model.factors], rng, model, sigma)
 
 
 @pytest.mark.parametrize("name", ["pcls4_case1", "pcls4_case2"])
@@ -244,13 +238,6 @@ def test_pcls3_redraws_dead_columns():
     assert d.get("first_rank_deficient_iteration") == 1
 
 
-def test_inner_sweeps_still_converge():
-    x, model = make_problem(SymmetryPattern.PSYM3, (5, 5, 4), 2, seed=25)
-    init = _perturbed(model, 0.1, 25)
-    _, trace = pcls3(x, 2, init, SolverConfig(max_iters=3000, inner_sweeps=3))
-    assert trace.stop_reason is StopReason.CONVERGED
-
-
 def test_column_sweep_matches_per_column_reference():
     """``_Run.sweep`` converts all columns at once and writes ``a`` back once,
     yet its factor equals, bit for bit, a column-by-column sweep over numpy
@@ -263,9 +250,9 @@ def test_column_sweep_matches_per_column_reference():
     a = rng.standard_normal((n, r))
     g = rng.standard_normal((r, n * n)).T  # F-ordered, as the solvers pass it
     g[:, [1, 4]] = 0.0
-    run = _solve_run(inner_sweeps=2, seed=seed)
+    run = _solve_run(seed=seed)
     expect, redrawn = column_sweep_oracle(
-        a, g, np.random.default_rng(seed), 2, solvers._DEAD_COLUMN_REL
+        a, g, np.random.default_rng(seed), solvers._DEAD_COLUMN_REL
     )
     got = a.copy()
     run.sweep(got, g)
@@ -302,7 +289,7 @@ def test_stop_reason_stalled_on_noise_floor():
     rng = np.random.default_rng(28)
     x = rng.standard_normal((5, 5, 5))
     init = [rng.standard_normal((5, 1)) for _ in range(3)]
-    cfg = SolverConfig(max_iters=10000, tol=1e-300, stall_window=5, stall_eps=1e-8)
+    cfg = SolverConfig(max_iters=10000, tol=1e-300)
     _, trace = als3(x, 1, init, cfg)
     assert trace.stop_reason is StopReason.STALLED
     assert trace.iterations < 10000
@@ -370,24 +357,23 @@ _EPS = np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize(
-    "build,cutoff,rank",
+    "build,rank",
     [
-        (_zero_and_duplicate_columns, None, 4),
+        (_zero_and_duplicate_columns, 4),
         # 1e-14 lies between eps*17 and eps*300: only the unreduced system's
         # cutoff drops it
-        (lambda rng: _with_spectrum(rng, 300, [1.0] * 16 + [1e-14]), None, 16),
-        (lambda rng: _with_spectrum(rng, 50, np.logspace(0, -9, 8)), 1e-6, 5),
-        (lambda rng: rng.standard_normal((30, 7)), None, 7),
-        (lambda rng: rng.standard_normal((5, 12)), None, 5),
+        (lambda rng: _with_spectrum(rng, 300, [1.0] * 16 + [1e-14]), 16),
+        (lambda rng: rng.standard_normal((30, 7)), 7),
+        (lambda rng: rng.standard_normal((5, 12)), 5),
     ],
-    ids=["zero-and-duplicate-columns", "graded-1e-14", "explicit-cutoff", "tall", "wide"],
+    ids=["zero-and-duplicate-columns", "graded-1e-14", "tall", "wide"],
 )
-def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, cutoff, rank):
+def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, rank):
     rng = np.random.default_rng(42)
     m = build(rng)
     rhs = rng.standard_normal((m.shape[0], 9))
     plain = np.linalg.lstsq
-    ref, _, ref_rank, _ = plain(m, rhs, rcond=cutoff)
+    ref, _, ref_rank, _ = plain(m, rhs)
     assert ref_rank == rank
     ranks = []
 
@@ -398,50 +384,42 @@ def test_reduced_solve_matches_plain_lstsq(monkeypatch, build, cutoff, rank):
         return out
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    x, _ = make_problem(SymmetryPattern.PSYM3, (2, 2, 2), 1, seed=0)
-    run = solvers._Run(
-        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff),
-        SymmetryPattern.PSYM3, "I x I x K", "AC",
-    )
+    run = _solve_run()
     sol = run.lstsq(m, rhs)
     assert ranks == [rank]
     assert run.diag.get("rank_deficient_solves", 0) == int(rank < m.shape[1])
     assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _solve_run(cutoff=None, **cfg):
+def _solve_run(**cfg):
     """A ``_Run`` on a tiny pcls3 problem, for calling its ``lstsq`` and
     ``sweep``."""
     x, _ = make_problem(SymmetryPattern.PSYM3, (2, 2, 2), 1, seed=0)
     return solvers._Run(
-        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(pinv_cutoff=cutoff, **cfg),
+        "pcls3", x, 1, [np.ones((2, 1))] * 2, SolverConfig(**cfg),
         SymmetryPattern.PSYM3, "I x I x K", "AC",
     )
 
 
 @pytest.mark.parametrize(
-    "build,cutoff,gram,rank,tol",
+    "build,gram,rank,tol",
     [
-        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -3, 17)), None, True, 17, 1e-9),
-        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -5, 17)), None, False, 17, 1e-12),
-        # eigenvalue ratio 1e-6 stays on the Gram path; the cutoff drops 3 of 8
-        (lambda rng: _with_spectrum(rng, 50, np.logspace(0, -3, 8)), 1e-2, True, 5, 1e-9),
-        (lambda rng: np.zeros((40, 6)), None, False, 0, 0.0),
+        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -3, 17)), True, 17, 1e-9),
+        (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -5, 17)), False, 17, 1e-12),
+        (lambda rng: np.zeros((40, 6)), False, 0, 0.0),
         # m.T @ m overflows to inf
-        (lambda rng: 1e160 * rng.standard_normal((40, 6)), None, False, 6, 1e-12),
+        (lambda rng: 1e160 * rng.standard_normal((40, 6)), False, 6, 1e-12),
     ],
-    ids=["cond-1e3-gram", "cond-1e5-qr", "explicit-cutoff-gram", "zero-qr", "overflowing-gram-qr"],
+    ids=["cond-1e3-gram", "cond-1e5-qr", "zero-qr", "overflowing-gram-qr"],
 )
-def test_tall_solve_takes_gram_path_only_when_well_conditioned(
-    monkeypatch, build, cutoff, gram, rank, tol
-):
+def test_tall_solve_takes_gram_path_only_when_well_conditioned(monkeypatch, build, gram, rank, tol):
     """A tall solve goes through m's singular basis (no QR, one lstsq call on
     an R x R system with the same right-hand sides) exactly when its Gram's
     eigenvalue ratio clears the guard, and counts each QR fallback."""
     rng = np.random.default_rng(7)
     m = build(rng)
     rhs = rng.standard_normal((m.shape[0], 9))
-    ref = np.linalg.lstsq(m, rhs, rcond=cutoff)[0]
+    ref = np.linalg.lstsq(m, rhs)[0]
     calls = []
     plain_lstsq, plain_qr = np.linalg.lstsq, np.linalg.qr
 
@@ -457,7 +435,7 @@ def test_tall_solve_takes_gram_path_only_when_well_conditioned(
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     monkeypatch.setattr(np.linalg, "qr", qr)
-    run = _solve_run(cutoff)
+    run = _solve_run()
     sol = run.lstsq(m, rhs)
     r = m.shape[1]
     assert calls == [((r, r), (r, rhs.shape[1]), rank)]
@@ -471,7 +449,7 @@ def test_tall_solve_accepts_one_right_hand_side():
     rng = np.random.default_rng(8)
     m = _with_spectrum(rng, 60, np.logspace(0, -2, 5))
     rhs = rng.standard_normal(60)
-    sol = _solve_run(None).lstsq(m, rhs)
+    sol = _solve_run().lstsq(m, rhs)
     ref = np.linalg.lstsq(m, rhs, rcond=None)[0]
     assert sol.shape == (5,)
     assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -579,10 +557,6 @@ def test_solver_config_validation():
         {"max_iters": 0},
         {"tol": 0.0},
         {"tol": -1.0},
-        {"inner_sweeps": 0},
-        {"stall_window": 0},
-        {"pinv_cutoff": -0.5},
-        {"pinv_cutoff": 0.0},
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -607,34 +581,27 @@ def test_trace_validation():
 
 def test_initialize_random_gaussian_shapes_and_determinism():
     shapes = [(4, 2), (3, 2)]
-    a = initialize(InitStrategy.random_gaussian(), shapes, np.random.default_rng(5))
-    b = initialize(InitStrategy.random_gaussian(), shapes, np.random.default_rng(5))
+    a = initialize(shapes, np.random.default_rng(5))
+    b = initialize(shapes, np.random.default_rng(5))
     assert [f.shape for f in a] == shapes
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_initialize_perturbed_truth_sigma_zero_is_exact():
     _, model = make_problem(SymmetryPattern.PSYM3, (4, 4, 3), 2, seed=35)
-    out = initialize(
-        InitStrategy.perturbed_truth(0.0, model),
-        [f.shape for f in model.factors],
-        np.random.default_rng(0),
-    )
+    out = initialize([f.shape for f in model.factors], np.random.default_rng(0), model)
     assert all(np.array_equal(o, f) for o, f in zip(out, model.factors))
 
 
 def test_initialize_validation():
-    with pytest.raises(ValueError, match="reference"):
-        InitStrategy(InitKind.PERTURBED_TRUTH, 0.1, None)
-    with pytest.raises(ValueError, match="sigma"):
-        InitStrategy(InitKind.RANDOM_GAUSSIAN, -0.1)
     _, model = make_problem(SymmetryPattern.PSYM3, (4, 4, 3), 2, seed=36)
+    shapes = [f.shape for f in model.factors]
+    for sigma in (-0.1, float("nan")):
+        for reference in (None, model):
+            with pytest.raises(ValueError, match="sigma"):
+                initialize(shapes, np.random.default_rng(0), reference, sigma)
     with pytest.raises(ValueError, match="shapes"):
-        initialize(
-            InitStrategy.perturbed_truth(0.1, model),
-            [(5, 2), (3, 2)],
-            np.random.default_rng(0),
-        )
+        initialize([(5, 2), (3, 2)], np.random.default_rng(0), model, 0.1)
 
 
 def test_init_count_validation():
