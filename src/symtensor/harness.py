@@ -41,7 +41,6 @@ __all__ = [
     "run_experiment",
     "iterations_to_threshold",
     "write_trace_csv",
-    "read_trace_csv",
     "write_summary_json",
 ]
 
@@ -292,21 +291,6 @@ def write_trace_csv(trace: ConvergenceTrace, path: str) -> None:
                 w.writerow([i, "%.16e" % res, "%.9e" % dt])
     except OSError as exc:
         raise OSError(f"failed to write trace to {path}: {exc}") from exc
-
-
-def read_trace_csv(path: str) -> tuple[list[float], list[float]]:
-    """Parse a trace CSV back into (residuals, elapsed_s) lists."""
-    residuals: list[float] = []
-    elapsed: list[float] = []
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                residuals.append(float(row["residual_sq"]))
-                elapsed.append(float(row["elapsed_s"]))
-    except OSError as exc:
-        raise OSError(f"failed to read trace from {path}: {exc}") from exc
-    return residuals, elapsed
 
 
 def write_summary_json(summary: RunSummary, path: str) -> None:

@@ -10,26 +10,32 @@ Each solver is its own set-up plus a ``step()`` that performs one outer
 iteration and returns the model's factors. One private object per call,
 ``_Run``, does the rest: it checks the input (shape against the symmetry
 pattern, finite entries and a finite squared norm, and the symmetry itself
-for the pcls solvers), copies the starting factors, and owns the counted
-least-squares solve, the column sweep with its dead-column redraws, and
-the loop that computes the residual, applies the stopping rules and times
-every iteration. The solve reduces a tall system ``m x = rhs`` with R
-columns to an R x R one: a well-conditioned system in m's singular basis,
-taken from the eigendecomposition of the Gram ``m.T @ m``, and an
-ill-conditioned one by the thin QR ``m = QR``. Either way
+for the pcls solvers), copies the starting factors, rejecting non-finite
+ones and ones beyond the scale guard, and owns the counted least-squares
+solve, the column sweep with its dead-column redraws, and the loop that
+computes the residual, applies the stopping rules and times every
+iteration. The solve reduces a tall system ``m x = rhs`` with R columns to
+an R x R one from its normal-equation pieces, the Gram ``m.T @ m`` and
+``m.T @ rhs``: a well-conditioned system in m's singular basis, taken from
+the eigendecomposition of the Gram, and an ill-conditioned one by the thin
+QR ``m = QR``, the only step that needs m itself. Either way
 ``np.linalg.lstsq`` gets one square system with m's singular values, the
 same right-hand sides and the cutoff of the unreduced system; square and
-wide systems go to it unchanged. The sweep symmetrizes all R target columns
-and converts them to Python lists in one pass, then calls
-``_kernels.coordinate_sweep`` once per live column. The residual is one
-Khatri-Rao GEMM (see :func:`core.residual_sq`). ``_Run`` and the steps call
-the core and numerics functions through this module's globals, and
-``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module attributes,
-so rebinding one of those names times or replaces that layer for every
-solver.
+wide systems go to it unchanged. The als refits hand the solve those pieces
+without forming m: the Gram is the Hadamard product of the other factors'
+R x R Grams, and ``m.T @ rhs`` comes from one tensor contraction per half
+of the modes (see :func:`_als`); m and the unfolding are built only for the
+QR. The sweep symmetrizes all R target columns and converts them to Python
+lists in one pass, then calls ``_kernels.coordinate_sweep`` once per live
+column. The residual is one Khatri-Rao GEMM (see :func:`core.residual_sq`).
+``_Run`` and the steps call the core and numerics functions through this
+module's globals, and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep``
+as module attributes, so rebinding one of those names times or replaces
+that layer for every solver.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -75,6 +81,7 @@ _DEAD_COLUMN_REL = 1e-14
 # ratio (cond < 1e4: squaring it costs at most about 1e8 * eps). Systems that
 # are rank-deficient at the default cutoff fall far below it and take the QR.
 _GRAM_COND_REL = 1e-8
+_NORMAL_MIN = np.finfo(np.float64).tiny
 _ORTHO_DRIFT_TOL = 1e-8
 # A run stalls when its residual moves by at most _STALL_EPS relative over the
 # last _STALL_WINDOW iterations. Both are fixed: no caller sets them, and the
@@ -200,9 +207,11 @@ class _Run:
     pattern whose factor rows the starting factors have), rejects
     non-finite entries and a squared norm that overflows, checks the
     symmetry itself when ``symmetric`` (the pcls preconditions), and
-    copies one starting factor per label, rejecting non-finite ones.
-    ``lstsq`` counts rank-deficient solves, ``sweep`` refits factor columns,
-    and ``iterate`` runs a solver's ``step`` until a stop.
+    copies one starting factor per label, rejecting non-finite ones and ones
+    with an entry beyond ``_SCALE_LIMIT``, which no refit could recover
+    from. ``lstsq`` and ``_solve`` count rank-deficient solves, ``sweep``
+    refits factor columns, and ``iterate`` runs a solver's ``step`` until a
+    stop.
     """
 
     def __init__(self, name, x, r, init, cfg, pattern, shape, labels, symmetric=False):
@@ -237,6 +246,12 @@ class _Run:
                 raise ValueError(f"{label} must have shape ({n}, {r}), got {a.shape}")
             if not np.isfinite(a).all():
                 raise ValueError(f"starting factor {label} has non-finite entries (NaN or inf)")
+            big = float(np.abs(a).max(initial=0.0))
+            if big > _SCALE_LIMIT:
+                raise ValueError(
+                    f"starting factor {label} has an entry of magnitude {big:.3g}, "
+                    f"beyond the scale limit {_SCALE_LIMIT:g}"
+                )
             self.factors.append(a)
         self.diag: dict = {}
         self.residuals: list[float] = []
@@ -244,15 +259,27 @@ class _Run:
         self.rng = np.random.default_rng(self.cfg.seed)
 
     def lstsq(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solve that counts rank-deficient systems.
+        """Minimum-norm least-squares solve that counts rank-deficient systems:
+        ``_solve`` on m's Gram and ``m.T @ rhs`` when m is tall, with m and
+        rhs kept for its QR fallback."""
+        gram = mtr = None
+        if m.shape[0] > m.shape[1]:
+            with np.errstate(over="ignore"):
+                gram = m.T @ m
+            mtr = m.T @ rhs
+        return self._solve(gram, mtr, m.shape[0], lambda: (m, rhs))
 
-        A tall ``m`` (more rows than columns) is reduced first. With the
-        eigendecomposition ``m.T @ m = V diag(lam) V.T`` of its R x R Gram,
-        m's singular values are ``s = sqrt(lam)`` and its right singular
-        vectors are V. When ``lam_min > _GRAM_COND_REL * lam_max`` (cond(m)
-        < 1e4), ``np.linalg.lstsq`` receives ``diag(s)`` and
-        ``diag(1/s) V.T m.T rhs``, and the solution is V times its result.
-        Otherwise, a zero or non-finite Gram included, the solve counts one
+    def _solve(self, gram, mtr, rows: int, build) -> np.ndarray:
+        """Solve ``m x = rhs`` from the R x R Gram ``m.T @ m``, ``mtr = m.T @
+        rhs`` and m's row count; ``build()`` returns ``(m, rhs)`` and is
+        called only when the Gram path is closed.
+
+        With the eigendecomposition ``gram = V diag(lam) V.T``, m's singular
+        values are ``s = sqrt(lam)`` and its right singular vectors are V.
+        When m is tall and ``lam_min > _GRAM_COND_REL * lam_max`` (cond(m) <
+        1e4), ``np.linalg.lstsq`` receives ``diag(s)`` and ``diag(1/s) V.T
+        mtr``, and the solution is V times its result. Otherwise, a zero or
+        non-finite Gram included, a tall solve counts one
         ``ill_conditioned_solves`` and takes the thin QR ``m = QR``:
         ``np.linalg.lstsq`` receives the square R and ``Q.T @ rhs``. Either
         way the reduced system has m's singular values and one call solves
@@ -262,26 +289,25 @@ class _Run:
         singular values. Square and wide systems go to ``np.linalg.lstsq``
         as they are.
         """
+        basis = None
+        well = gram is not None and rows > len(gram) and np.isfinite(gram).all()
+        if well:
+            lam, v = np.linalg.eigh(gram)
+            well = lam[0] > _GRAM_COND_REL * lam[-1]
+        if well:
+            s, basis = np.sqrt(lam[::-1]), v[:, ::-1]
+            a, b = np.diag(s), (basis / s).T @ mtr
+        else:
+            a, b = build()
+            if rows > a.shape[1]:
+                self.diag["ill_conditioned_solves"] = self.diag.get("ill_conditioned_solves", 0) + 1
+                q, a = np.linalg.qr(a)
+                b = q.T @ b
         # numpy's own default cutoff for m. It is fixed: no caller sets
         # another, and the rank-deficient counts are measured with it.
-        cut = np.finfo(np.float64).eps * max(m.shape)
-        a, b, basis = m, rhs, None
-        if m.shape[0] > m.shape[1]:
-            with np.errstate(over="ignore"):
-                gram = m.T @ m
-            well = np.isfinite(gram).all()
-            if well:
-                lam, v = np.linalg.eigh(gram)
-                well = lam[0] > _GRAM_COND_REL * lam[-1]
-            if well:
-                s, basis = np.sqrt(lam[::-1]), v[:, ::-1]
-                a, b = np.diag(s), (basis / s).T @ (m.T @ rhs)
-            else:
-                self.diag["ill_conditioned_solves"] = self.diag.get("ill_conditioned_solves", 0) + 1
-                q, a = np.linalg.qr(m)
-                b = q.T @ rhs
+        cut = np.finfo(np.float64).eps * max(rows, a.shape[1])
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=cut)
-        if rank < m.shape[1]:
+        if rank < a.shape[1]:
             self.diag["rank_deficient_solves"] = self.diag.get("rank_deficient_solves", 0) + 1
             self.diag.setdefault("first_rank_deficient_iteration", len(self.residuals) + 1)
         return sol if basis is None else basis @ sol
@@ -345,25 +371,74 @@ class _Run:
 def _als(run: _Run, f: list[np.ndarray], pattern: SymmetryPattern, defects=None):
     """Gauss-Seidel alternating least squares on the general model ``f``.
 
-    Factor n is refit against the mode-n matricization and the Khatri-Rao
-    chain of the other factors, highest mode first. With ``defects``, the
-    Frobenius distance between the first two factors is recorded after
-    every sweep.
+    Refit n solves ``m f[n].T = X_(n).T``, with m the Khatri-Rao chain of
+    the other factors, highest mode first, and X_(n) the mode-n unfolding,
+    from its normal-equation pieces; m and X_(n) are built only for the QR
+    fallback. The Gram ``m.T @ m`` is the Hadamard product of the other
+    factors' Grams, refreshed after each refit. ``m.T @ X_(n).T`` comes from
+    the matricization ``xm`` with rows (i0, i1), one GEMM per half of the
+    modes: modes 0 and 1 share ``xm`` times f[2] (f[3] (.) f[2] at order 4)
+    and each contracts it with its partner in one einsum; modes 2 and 3 do
+    the same with ``xm.T`` times the new f[1] (.) f[0]. Each refit sees the
+    factors the plain chain would. With ``defects``, the Frobenius distance
+    between the first two factors is recorded after every sweep.
     """
-    unfolds = [mode_n_matricize(run.x, n) for n in range(len(f))]
+    dims = run.x.shape
+    xm = run.x.reshape(dims[0] * dims[1], -1, order="F")
+    grams = [_factor_gram(a) for a in f]
+
+    def refit(n: int, mtr: np.ndarray) -> None:
+        others = [i for i in reversed(range(len(f))) if i != n]
+
+        def build():
+            m = f[others[0]]
+            for i in others[1:]:
+                m = khatri_rao(m, f[i])
+            return m, mode_n_matricize(run.x, n).T
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = functools.reduce(np.multiply, [grams[i] for i in others])
+        f[n] = run._solve(gram, mtr, math.prod(dims) // dims[n], build).T
+        grams[n] = _factor_gram(f[n])
+
+    def pair(prod: np.ndarray, n: int) -> None:
+        """Refit modes n and n + 1 from ``prod``: x contracted with the other
+        half's factors, row i_n + I_n * i_{n+1}, column r."""
+        w = prod.reshape(dims[n + 1], dims[n], -1)
+        refit(n, np.einsum("jir,jr->ri", w, f[n + 1]))
+        refit(n + 1, np.einsum("jir,ir->rj", w, f[n]))
 
     def step() -> list[np.ndarray]:
-        for n in range(len(f)):
-            others = [f[i] for i in reversed(range(len(f))) if i != n]
-            m = others[0]
-            for g in others[1:]:
-                m = khatri_rao(m, g)
-            f[n] = run.lstsq(m, unfolds[n].T).T
+        pair(xm @ (f[2] if len(f) == 3 else khatri_rao(f[3], f[2])), 0)
+        v = xm.T @ khatri_rao(f[1], f[0])
+        if len(f) == 3:
+            refit(2, v.T)
+        else:
+            pair(v, 2)
         if defects is not None:
-            defects.append(float(np.linalg.norm(f[0] - f[1])))
+            defects.append(_distance(f[0], f[1]))
         return f
 
     return run.iterate(step, pattern, defects)
+
+
+def _factor_gram(a: np.ndarray) -> np.ndarray:
+    """``a.T @ a``: inf where it overflows, and NaN where a squared column
+    norm is below the smallest normal float (subnormals keep too few digits,
+    which the other factors' Grams could scale back into range). Either way
+    every Hadamard Gram it enters fails ``_Run._solve``'s finiteness check
+    and takes the QR."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.T @ a
+    return g if g.diagonal().min() >= _NORMAL_MIN else np.full_like(g, np.nan)
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius distance, scaled by the largest absolute difference so that
+    squaring entries near the scale guard cannot overflow."""
+    d = a - b
+    big = float(np.abs(d).max())
+    return big * float(np.linalg.norm(d / big)) if 0.0 < big < math.inf else float(np.linalg.norm(d))
 
 
 def als3(

@@ -2,10 +2,13 @@
 
 Everything here is written from the definitions, element by element, with no
 shared code with the package, so agreement is meaningful evidence. The two
-sweep references at the end are the exception: they call the package's scalar
+sweep references are the exception: they call the package's scalar
 ``quartic_min`` on purpose, because they pin the column sweep's arithmetic
-and order bit for bit, not its root finding.
+and order bit for bit, not its root finding. ``read_trace_csv`` at the end
+reads the trace files the package writes back for the tests.
 """
+import csv
+
 import numpy as np
 
 from symtensor._kernels import quartic_min
@@ -122,3 +125,28 @@ def column_sweep_oracle(a: np.ndarray, g: np.ndarray, rng, dead_rel: float):
         else:
             out[:, r] = sweep_array_loop(out[:, r], col.reshape(n, n, order="F"), 1)
     return out, redrawn
+
+
+def als_oracle(x: np.ndarray, factors, iters: int) -> list[np.ndarray]:
+    """Plain Gauss-Seidel alternating least squares: ``iters`` sweeps over
+    the modes in order, each refitting factor n as the minimum-norm
+    ``np.linalg.lstsq`` solution of m f_n^T = X_(n)^T, with m the full
+    Khatri-Rao chain of the other factors, highest mode first, and X_(n)
+    the mode-n unfolding."""
+    f = [np.array(a, dtype=np.float64) for a in factors]
+    unfolds = [unfold_oracle(x, n) for n in range(x.ndim)]
+    for _ in range(iters):
+        for n in range(len(f)):
+            others = [f[i] for i in reversed(range(len(f))) if i != n]
+            m = others[0]
+            for g in others[1:]:
+                m = khatri_rao_oracle(m, g)
+            f[n] = np.linalg.lstsq(m, unfolds[n].T, rcond=None)[0].T
+    return f
+
+
+def read_trace_csv(path: str) -> tuple[list[float], list[float]]:
+    """Parse a trace CSV back into (residuals, elapsed_s) lists."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return [float(r["residual_sq"]) for r in rows], [float(r["elapsed_s"]) for r in rows]

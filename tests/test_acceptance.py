@@ -36,14 +36,13 @@ from symtensor import (
     pcls4_full,
     quartic_global_min,
     QuarticCoefficients,
-    read_trace_csv,
     reconstruct,
     run_experiment,
     square_matricize,
     symmetry_check,
 )
 
-from _oracles import quartic_grid_min, square_matricize_oracle, unfold_oracle
+from _oracles import quartic_grid_min, read_trace_csv, square_matricize_oracle, unfold_oracle
 
 # Shared-direction weights for the factor columns, calibrated per criterion:
 # stronger weights deepen the baseline's plateaus (widening the iteration

@@ -224,6 +224,23 @@ def test_decompose_rejects_non_finite_model_at_read(tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_decompose_rejects_starting_model_beyond_scale_guard(tmp_path):
+    x, truth = symtensor.generate_problem("fsym4", (5, 5, 5, 5), 2, np.random.default_rng(65))
+    truth.factors[0][:] *= 1e100
+    write_tensor(str(tmp_path / "x.txt"), x)
+    write_model(str(tmp_path / "huge.txt"), truth)
+    res = run_cli(
+        "decompose", "--input", "x.txt", "--solver", "pcls", "--pattern", "fsym4",
+        "--rank", "2", "--init-model", "huge.txt", cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error: starting factor A has an entry of magnitude")
+    assert "DLASCL" not in res.stdout + res.stderr
+    assert not (tmp_path / "model.txt").exists()
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("init_model", [False, True], ids=["random-start", "init-model"])
 @pytest.mark.parametrize("sigma", ["-1", "nan"])
 def test_decompose_rejects_bad_init_sigma(tmp_path, sigma, init_model):

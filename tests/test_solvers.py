@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symtensor import (
     als3,
     als3_sym,
     als4_sym,
+    generate_problem,
     initialize,
     khatri_rao,
     mode_n_matricize,
@@ -145,6 +147,102 @@ def test_als3_sym_defect_zero_at_truth_nonzero_from_random():
         if max(tr.symmetry_defect) > 1e-8:
             broke_symmetry += 1
     assert broke_symmetry >= 1
+
+
+def _als_start(name, dims, r, seed, scale=1.0):
+    """(tensor, solver's init, the full factor list the solver starts from)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dims)
+    if name == "als3":
+        init = [scale * rng.standard_normal((n, r)) for n in dims]
+        return x, init, init
+    a = scale * rng.standard_normal((dims[0], r))
+    if name == "als4_sym":
+        return x, a, [a] * 4
+    c = scale * rng.standard_normal((dims[2], r))
+    return x, [a, c], [a, a, c]
+
+
+def _assert_matches_oracle(out, x, start, iters, rel):
+    from _oracles import als_oracle
+
+    # max-abs scaled, so factors near the scale guard compare without
+    # squaring their entries
+    for got, ref in zip(out.factors, als_oracle(x, start, iters)):
+        assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "name,dims,r,seed,fallbacks",
+    [
+        ("als3", (4, 5, 3), 2, 1, False),
+        ("als3_sym", (5, 5, 4), 3, 2, False),
+        ("als4_sym", (3, 3, 3, 3), 2, 3, False),
+        # R > I: the factor Grams are singular, and so is the first refit's
+        # Hadamard Gram, whose Khatri-Rao columns a (x) a (x) a span only
+        # the 4-dimensional symmetric subspace; it takes the QR. Such
+        # problems are ill-conditioned: over seeds 0-9 the gap to the plain
+        # chain after 10 iterations ranges 3e-13 to 7e-9 (2e-13 to 2e-9
+        # when each refit formed m.T @ m); seed 0's is 5e-12.
+        ("als4_sym", (2, 2, 2, 2), 5, 0, True),
+    ],
+    ids=["als3", "als3_sym", "als4_sym", "als4_sym-rank-above-dim"],
+)
+def test_als_matches_plain_khatri_rao_lstsq(name, dims, r, seed, fallbacks):
+    """The factor-Gram refits and the shared half contractions give the
+    plain Gauss-Seidel chain's factors to roundoff."""
+    x, init, start = _als_start(name, dims, r, seed)
+    out, trace = getattr(solvers, name)(x, r, init, SolverConfig(max_iters=10, tol=1e-300))
+    assert trace.iterations == 10
+    _assert_matches_oracle(out, x, start, 10, 1e-10)
+    assert (trace.diagnostics.get("ill_conditioned_solves", 0) > 0) == fallbacks
+
+
+def test_als_overflowing_gram_takes_the_fallback():
+    """Starting at 1e55 the first refit's three factor Grams are finite but
+    their Hadamard product overflows, and the new A (about 1e-165) has a
+    Gram that underflows: all four refits must take the QR fallback on the
+    full m without a floating-point warning and match the plain chain."""
+    x, init, start = _als_start("als4_sym", (3, 3, 3, 3), 2, seed=3, scale=1e55)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, trace = als4_sym(x, 2, init, SolverConfig(max_iters=1, tol=1e-300))
+    assert trace.diagnostics["ill_conditioned_solves"] == 4
+    _assert_matches_oracle(out, x, start, 1, 1e-12)
+
+
+def test_als3_sym_defect_stays_finite_near_the_scale_guard():
+    """From a 1e-160 C the first A refit reaches about 1e160, so its Gram
+    and its distance to B overflow when squared; the defect must still be
+    finite and the refits must match the plain chain."""
+    x, _ = generate_problem("psym3", (6, 6, 5), 2, np.random.default_rng(40), 0.5)
+    rng = np.random.default_rng(41)
+    a, c = rng.standard_normal((6, 2)), 1e-160 * rng.standard_normal((5, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, trace = als3_sym(x, 2, [a, c], SolverConfig(max_iters=50, tol=1e-300))
+    assert trace.stop_reason is StopReason.STALLED
+    assert np.isfinite(trace.symmetry_defect).all()
+    assert np.abs(out.factors[0]).max() > 1e150
+    _assert_matches_oracle(out, x, [a, a, c], trace.iterations, 1e-12)
+
+
+@pytest.mark.parametrize("name,dims", [("als3_sym", (5, 5, 4)), ("als4_sym", (3, 3, 3, 3))])
+def test_als_makes_one_lstsq_call_per_mode(monkeypatch, name, dims):
+    """Each iteration solves every mode once, with I_n right-hand sides:
+    the call and right-hand-side counts the benchmark's lstsq layer reads."""
+    plain = np.linalg.lstsq
+    rhs = []
+
+    def counted(a, b, rcond=None):
+        rhs.append(b.shape[1])
+        return plain(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    x, init, _ = _als_start(name, dims, 2, seed=9)
+    _, trace = getattr(solvers, name)(x, 2, init, SolverConfig(max_iters=7, tol=1e-300))
+    assert trace.iterations == 7
+    assert rhs == list(dims) * 7
 
 
 # --------------------------------------------------------------------- #
@@ -524,15 +622,20 @@ def test_shape_preconditions():
         als3(rng.standard_normal((3, 3)), 1, [np.ones((3, 1))] * 3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308, "nan-factor"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308, "nan-factor", "huge-factor"])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_non_finite_or_overflowing_input_rejected(name, bad):
     solver, pattern, dims = SOLVERS[name]
     x, model = make_problem(pattern, dims, 2, seed=39)
     init = truth_init(name, model)
+    last = init if name in ("als4_sym", "pcls4_full") else init[-1]
     if bad == "nan-factor":
-        (init if name in ("als4_sym", "pcls4_full") else init[-1])[0, 0] = np.nan
+        last[0, 0] = np.nan
         problem = "starting factor [ABC] has non-finite"
+    elif bad == "huge-factor":
+        # beyond the scale guard: LAPACK failed on such starts mid-solve
+        last *= 1e100
+        problem = r"starting factor [ABC] has an entry of magnitude .*e\+100"
     else:
         x[(0,) * x.ndim] = bad
         problem = "overflows" if np.isfinite(bad) else "non-finite"
