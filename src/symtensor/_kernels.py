@@ -3,15 +3,11 @@
 Written as plain Python over scalars and lists, whose scalar reads cost a
 fraction of numpy's. :mod:`symtensor.numerics` wraps ``cubic_roots`` and
 ``quartic_min``; the pcls solvers call ``coordinate_sweep``, one cyclic pass
-over the coordinates, once per live factor column. The sweep writes exactly
-the values of a loop that skips j = i in each coordinate's sums and calls
-``quartic_min`` for every coordinate: it zeroes v[i] instead of testing
-j != i (the zero terms leave both sums unchanged), and it solves the
-one-real-root cubic inline, where the missing quadratic term (p = 0) makes
-every dropped operation exact. The bits matter: random-start pcls runs are
-chaotic, and a sweep that differs only at roundoff (a BLAS dot for the
-sums, say) changes their iteration counts and can fail the acceptance
-gates.
+over the coordinates, once per live factor column. The bits matter:
+random-start pcls runs are chaotic, and a sweep that differs only at
+roundoff (a BLAS dot for the sums, say) changes their iteration counts and
+can fail the acceptance gates. :func:`coordinate_sweep` says why its
+shortcuts keep every bit of the plain per-coordinate ``quartic_min`` loop.
 """
 from __future__ import annotations
 

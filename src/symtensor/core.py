@@ -18,9 +18,7 @@ __all__ = [
     "SymmetryPattern",
     "FactorModel",
     "mode_n_matricize",
-    "fold_mode_n",
     "square_matricize",
-    "unvec",
     "khatri_rao",
     "reconstruct",
     "residual_sq",
@@ -62,8 +60,14 @@ class SymmetryPattern(Enum):
 
     @property
     def permutations(self) -> tuple[tuple[int, ...], ...]:
-        """Non-identity index permutations the pattern is invariant under."""
-        return _PERMUTATIONS[self]
+        """Non-identity index permutations the pattern is invariant under:
+        every p that maps each mode to one sharing its factor, in
+        lexicographic order."""
+        f, identity = self.mode_factors, tuple(range(self.order))
+        return tuple(
+            p for p in itertools.permutations(identity)
+            if p != identity and tuple(f[m] for m in p) == f
+        )
 
     def factor_rows(self, dims: tuple[int, ...]) -> tuple[int, ...]:
         """Row count of each distinct factor for a tensor of shape ``dims``.
@@ -91,21 +95,6 @@ _MODE_FACTORS = {
     SymmetryPattern.FSYM4: (0, 0, 0, 0),
     SymmetryPattern.GENERAL4: (0, 1, 2, 3),
 }
-
-# Full invariance groups (minus identity). PSYM4_CASE1 is generated by the
-# two mode swaps (1,3) and (2,4); their composition is included so the
-# reported defect is the max over the whole group.
-_PERMUTATIONS = {
-    SymmetryPattern.GENERAL3: (),
-    SymmetryPattern.PSYM3: ((1, 0, 2),),
-    SymmetryPattern.PSYM4_CASE1: ((2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)),
-    SymmetryPattern.PSYM4_CASE2: ((2, 1, 0, 3),),
-    SymmetryPattern.FSYM4: tuple(
-        p for p in itertools.permutations(range(4)) if p != (0, 1, 2, 3)
-    ),
-    SymmetryPattern.GENERAL4: (),
-}
-
 
 @dataclass
 class FactorModel:
@@ -164,16 +153,6 @@ def mode_n_matricize(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
 
 
-def fold_mode_n(m: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`mode_n_matricize` for a tensor of shape ``dims``."""
-    dims = tuple(dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    rest = [d for i, d in enumerate(dims) if i != mode]
-    full = np.reshape(np.asarray(m), (dims[mode], *rest), order="F")
-    return np.moveaxis(full, 0, mode)
-
-
 def square_matricize(x: np.ndarray) -> np.ndarray:
     """Flatten an I x J x K x L tensor to the IK x JL matrix pairing modes
     (1,3) on the rows and (2,4) on the columns.
@@ -185,17 +164,6 @@ def square_matricize(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"square matricization needs an order-4 tensor, got order {x.ndim}")
     i, j, k, l = x.shape
     return x.transpose(0, 2, 1, 3).reshape(i * k, j * l)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Reshape a length-I^2 vector to I x I, consecutive blocks as columns."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError("unvec expects a 1-D vector")
-    n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise ValueError(f"unvec needs a perfect-square length, got {v.size}")
-    return v.reshape(n, n, order="F")
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:

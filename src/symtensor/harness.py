@@ -39,7 +39,6 @@ __all__ = [
     "AggregateStats",
     "RunSummary",
     "run_experiment",
-    "iterations_to_threshold",
     "write_trace_csv",
     "write_summary_json",
 ]
@@ -268,14 +267,6 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     if spec.out_dir:
         write_summary_json(summary, os.path.join(spec.out_dir, "summary.json"))
     return summary
-
-
-def iterations_to_threshold(residuals, threshold: float) -> int | None:
-    """1-based index of the first residual at or below threshold, else None."""
-    for i, r in enumerate(residuals):
-        if r <= threshold:
-            return i + 1
-    return None
 
 
 def write_trace_csv(trace: ConvergenceTrace, path: str) -> None:

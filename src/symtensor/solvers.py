@@ -8,30 +8,15 @@ SolverConfig.seed (the seed only drives the dead-column redraws).
 
 Each solver is its own set-up plus a ``step()`` that performs one outer
 iteration and returns the model's factors. One private object per call,
-``_Run``, does the rest: it checks the input (shape against the symmetry
-pattern, finite entries and a finite squared norm, and the symmetry itself
-for the pcls solvers), copies the starting factors, rejecting non-finite
-ones and ones beyond the scale guard, and owns the counted least-squares
-solve, the column sweep with its dead-column redraws, and the loop that
-computes the residual, applies the stopping rules and times every
-iteration. The solve reduces a tall system ``m x = rhs`` with R columns to
-an R x R one from its normal-equation pieces, the Gram ``m.T @ m`` and
-``m.T @ rhs``: a well-conditioned system in m's singular basis, taken from
-the eigendecomposition of the Gram, and an ill-conditioned one by the thin
-QR ``m = QR``, the only step that needs m itself. Either way
-``np.linalg.lstsq`` gets one square system with m's singular values, the
-same right-hand sides and the cutoff of the unreduced system; square and
-wide systems go to it unchanged. The als refits hand the solve those pieces
-without forming m: the Gram is the Hadamard product of the other factors'
-R x R Grams, and ``m.T @ rhs`` comes from one tensor contraction per half
-of the modes (see :func:`_als`); m and the unfolding are built only for the
-QR. The sweep symmetrizes all R target columns and converts them to Python
-lists in one pass, then calls ``_kernels.coordinate_sweep`` once per live
-column. The residual is one Khatri-Rao GEMM (see :func:`core.residual_sq`).
-``_Run`` and the steps call the core and numerics functions through this
-module's globals, and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep``
-as module attributes, so rebinding one of those names times or replaces
-that layer for every solver.
+:class:`_Run`, checks the input and the starting factors and owns what
+every step shares: the counted least-squares solve (:meth:`_Run._solve`),
+the column sweep (:meth:`_Run.sweep`) and the loop with its stopping rules
+(:meth:`_Run.iterate`). The pcls solves and the als refits (:func:`_als`)
+trust a Gram matrix by one rule, :func:`_factor_gram`'s. ``_Run`` and the
+steps call the core and numerics functions through this module's globals,
+and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module
+attributes, so rebinding one of those names times or replaces that layer
+for every solver.
 """
 from __future__ import annotations
 
@@ -82,7 +67,6 @@ _DEAD_COLUMN_REL = 1e-14
 # are rank-deficient at the default cutoff fall far below it and take the QR.
 _GRAM_COND_REL = 1e-8
 _NORMAL_MIN = np.finfo(np.float64).tiny
-_ORTHO_DRIFT_TOL = 1e-8
 # A run stalls when its residual moves by at most _STALL_EPS relative over the
 # last _STALL_WINDOW iterations. Both are fixed: no caller sets them, and the
 # acceptance gates' iteration counts and stall outcomes are measured with
@@ -260,13 +244,11 @@ class _Run:
 
     def lstsq(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solve that counts rank-deficient systems:
-        ``_solve`` on m's Gram and ``m.T @ rhs`` when m is tall, with m and
-        rhs kept for its QR fallback."""
+        ``_solve`` on ``_factor_gram(m)`` and ``m.T @ rhs`` when m is tall,
+        with m and rhs kept for its QR fallback."""
         gram = mtr = None
         if m.shape[0] > m.shape[1]:
-            with np.errstate(over="ignore"):
-                gram = m.T @ m
-            mtr = m.T @ rhs
+            gram, mtr = _factor_gram(m), m.T @ rhs
         return self._solve(gram, mtr, m.shape[0], lambda: (m, rhs))
 
     def _solve(self, gram, mtr, rows: int, build) -> np.ndarray:
@@ -425,9 +407,9 @@ def _als(run: _Run, f: list[np.ndarray], pattern: SymmetryPattern, defects=None)
 def _factor_gram(a: np.ndarray) -> np.ndarray:
     """``a.T @ a``: inf where it overflows, and NaN where a squared column
     norm is below the smallest normal float (subnormals keep too few digits,
-    which the other factors' Grams could scale back into range). Either way
-    every Hadamard Gram it enters fails ``_Run._solve``'s finiteness check
-    and takes the QR."""
+    and in als the other factors' Grams could scale them back into range).
+    Either way the Gram, and every Hadamard Gram it enters, fails
+    ``_Run._solve``'s finiteness check and takes the QR."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = a.T @ a
     return g if g.diagonal().min() >= _NORMAL_MIN else np.full_like(g, np.nan)
@@ -608,9 +590,6 @@ def pcls4_full(
 
     def step() -> list[np.ndarray]:
         nonlocal q
-        if float(np.linalg.norm(q.T @ q - np.eye(r))) > _ORTHO_DRIFT_TOL:
-            q = qr_orthogonal_factor(q)
-            diag["reorthogonalized"] = diag.get("reorthogonalized", 0) + 1
         run.sweep(a, e @ q.T)
         aa = khatri_rao(a, a)
         q = qr_orthogonal_factor(run.lstsq(aa, e))

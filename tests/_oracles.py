@@ -4,8 +4,9 @@ Everything here is written from the definitions, element by element, with no
 shared code with the package, so agreement is meaningful evidence. The two
 sweep references are the exception: they call the package's scalar
 ``quartic_min`` on purpose, because they pin the column sweep's arithmetic
-and order bit for bit, not its root finding. ``read_trace_csv`` at the end
-reads the trace files the package writes back for the tests.
+and order bit for bit, not its root finding. The two helpers at the end
+are test utilities: ``iterations_to_threshold`` reads a residual history,
+and ``read_trace_csv`` reads the trace files the package writes back.
 """
 import csv
 
@@ -143,6 +144,14 @@ def als_oracle(x: np.ndarray, factors, iters: int) -> list[np.ndarray]:
                 m = khatri_rao_oracle(m, g)
             f[n] = np.linalg.lstsq(m, unfolds[n].T, rcond=None)[0].T
     return f
+
+
+def iterations_to_threshold(residuals, threshold: float) -> int | None:
+    """1-based index of the first residual at or below threshold, else None."""
+    for i, r in enumerate(residuals):
+        if r <= threshold:
+            return i + 1
+    return None
 
 
 def read_trace_csv(path: str) -> tuple[list[float], list[float]]:

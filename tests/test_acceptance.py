@@ -28,7 +28,6 @@ from symtensor import (
     als4_sym,
     generate_problem,
     initialize,
-    iterations_to_threshold,
     mode_n_matricize,
     pcls3,
     pcls4_case1,
@@ -42,7 +41,13 @@ from symtensor import (
     symmetry_check,
 )
 
-from _oracles import quartic_grid_min, read_trace_csv, square_matricize_oracle, unfold_oracle
+from _oracles import (
+    iterations_to_threshold,
+    quartic_grid_min,
+    read_trace_csv,
+    square_matricize_oracle,
+    unfold_oracle,
+)
 
 # Shared-direction weights for the factor columns, calibrated per criterion:
 # stronger weights deepen the baseline's plateaus (widening the iteration

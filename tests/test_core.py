@@ -10,7 +10,6 @@ from hypothesis import strategies as hyp
 from symtensor import (
     FactorModel,
     SymmetryPattern,
-    fold_mode_n,
     khatri_rao,
     mode_n_matricize,
     reconstruct,
@@ -18,7 +17,6 @@ from symtensor import (
     square_matricize,
     symmetry_check,
     symmetry_defect,
-    unvec,
 )
 
 from _oracles import (
@@ -51,13 +49,6 @@ def test_mode_n_known_element():
     assert m[1, 14] == t[1, 2, 3]
 
 
-def test_fold_inverts_unfold():
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal((3, 4, 2, 5))
-    for mode in range(4):
-        np.testing.assert_array_equal(fold_mode_n(mode_n_matricize(t, mode), mode, t.shape), t)
-
-
 def test_mode_out_of_range():
     with pytest.raises(ValueError):
         mode_n_matricize(np.zeros((2, 2, 2)), 3)
@@ -81,25 +72,8 @@ def test_square_matricize_needs_order4():
 
 
 # --------------------------------------------------------------------- #
-# unvec / khatri_rao                                                     #
+# khatri_rao                                                            #
 # --------------------------------------------------------------------- #
-
-
-def test_unvec_column_major():
-    np.testing.assert_array_equal(
-        unvec(np.array([1.0, 2.0, 3.0, 4.0])), np.array([[1.0, 3.0], [2.0, 4.0]])
-    )
-
-
-def test_unvec_outer_product_roundtrip():
-    a = np.array([1.0, 2.0])
-    outer = np.outer(a, a)
-    np.testing.assert_array_equal(unvec(outer.ravel(order="F")), outer)
-
-
-def test_unvec_rejects_non_square_length():
-    with pytest.raises(ValueError):
-        unvec(np.arange(6, dtype=float))
 
 
 def test_khatri_rao_known_values():
@@ -126,7 +100,9 @@ def test_unvec_of_khatri_rao_column_is_outer_product():
     a = rng.standard_normal((4, 3))
     kr = khatri_rao(a, a)
     for r in range(3):
-        np.testing.assert_array_equal(unvec(kr[:, r]), np.outer(a[:, r], a[:, r]))
+        np.testing.assert_array_equal(
+            kr[:, r].reshape(4, 4, order="F"), np.outer(a[:, r], a[:, r])
+        )
 
 
 @given(
@@ -318,3 +294,26 @@ def test_pattern_metadata_consistency():
                 pattern.mode_factors[perm[m]] == pattern.mode_factors[m]
                 for m in range(pattern.order)
             )
+
+
+def test_pattern_invariance_groups_are_exact():
+    """Each pattern's whole invariance group, identity excluded; psym4-case1
+    includes the composition of its two swaps."""
+    groups = {
+        SymmetryPattern.GENERAL3: set(),
+        SymmetryPattern.PSYM3: {(1, 0, 2)},
+        SymmetryPattern.PSYM4_CASE1: {(2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)},
+        SymmetryPattern.PSYM4_CASE2: {(2, 1, 0, 3)},
+        SymmetryPattern.FSYM4: {
+            (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1),
+            (1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3), (1, 2, 3, 0), (1, 3, 0, 2),
+            (1, 3, 2, 0), (2, 0, 1, 3), (2, 0, 3, 1), (2, 1, 0, 3), (2, 1, 3, 0),
+            (2, 3, 0, 1), (2, 3, 1, 0), (3, 0, 1, 2), (3, 0, 2, 1), (3, 1, 0, 2),
+            (3, 1, 2, 0), (3, 2, 0, 1), (3, 2, 1, 0),
+        },
+        SymmetryPattern.GENERAL4: set(),
+    }
+    assert set(groups) == set(SymmetryPattern)
+    for pattern, group in groups.items():
+        assert len(pattern.permutations) == len(group), pattern
+        assert set(pattern.permutations) == group, pattern

@@ -16,7 +16,6 @@ from symtensor import (
     StopReason,
     SymmetryPattern,
     generate_problem,
-    iterations_to_threshold,
     residual_sq,
     run_experiment,
     solve_problem,
@@ -25,7 +24,7 @@ from symtensor import (
     write_trace_csv,
 )
 
-from _oracles import read_trace_csv
+from _oracles import iterations_to_threshold, read_trace_csv
 
 KIND_DIMS = {
     "psym3": (6, 6, 5),

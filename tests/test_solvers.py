@@ -553,6 +553,20 @@ def test_tall_solve_accepts_one_right_hand_side():
     assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_tall_solve_with_subnormal_gram_takes_the_qr():
+    """A well-conditioned m whose squared column norms are subnormal: the
+    Gram keeps too few digits, so the solve takes the counted QR, as the
+    als refits do, and still matches the plain least-squares solution."""
+    rng = np.random.default_rng(0)
+    m = 1e-160 * rng.standard_normal((40, 3))
+    rhs = 1e-160 * rng.standard_normal((40, 9))
+    run = _solve_run()
+    sol = run.lstsq(m, rhs)
+    ref = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    assert run.diag == {"ill_conditioned_solves": 1}
+    assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 _THREADS_SCRIPT = """
 import json
 import numpy as np
