@@ -69,9 +69,8 @@ _PRESETS: dict[str, dict] = {
 }
 
 
-# Benchmark settings that neither the preset nor an explicit flag overrides.
-_BENCH_DEFAULTS = dict(kind=None, dims=None, rank=None, sizes=None,
-                       n_seeds=10, init="random", init_sigma=0.1, collinearity=0.0)
+# Benchmark flags that override a preset's field; unset fields keep ExperimentSpec's defaults.
+_PRESET_FLAGS = ("kind", "dims", "rank", "sizes", "n_seeds", "init", "init_sigma", "collinearity")
 
 
 def _positive_int(text: str) -> int:
@@ -134,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--solver", required=True, choices=("als", "pcls"))
     dec.add_argument("--pattern", required=True, choices=sorted(SOLVERS))
     dec.add_argument("--rank", required=True, type=_positive_int)
-    dec.add_argument("--tol", type=float, default=1e-10)
-    dec.add_argument("--max-iters", type=_positive_int, default=20000)
+    dec.add_argument("--tol", type=float, default=SolverConfig.tol)
+    dec.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--init-model", metavar="PATH",
                      help="model file supplying the starting factors")
@@ -157,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--init", choices=("random", "perturbed"))
     ben.add_argument("--init-sigma", type=float)
     ben.add_argument("--collinearity", type=float)
-    ben.add_argument("--tol", type=float, default=1e-10)
-    ben.add_argument("--max-iters", type=_positive_int, default=20000)
+    ben.add_argument("--tol", type=float, default=SolverConfig.tol)
+    ben.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
     ben.add_argument("--scale", type=_scale_value, default=1.0,
                      help="shrink (or grow) dims and rank by this factor")
     ben.add_argument("--out-dir", default=None)
@@ -223,9 +222,9 @@ def _report_aggregates(summary: RunSummary) -> None:
 
 
 def cmd_benchmark(args) -> int:
-    opts = {**_BENCH_DEFAULTS, **_PRESETS.get(args.preset, {})}
-    opts.update((k, getattr(args, k)) for k in _BENCH_DEFAULTS if getattr(args, k) is not None)
-    kind, dims, rank, sizes = (opts.pop(k) for k in ("kind", "dims", "rank", "sizes"))
+    opts = dict(_PRESETS.get(args.preset, {}))
+    opts.update((k, getattr(args, k)) for k in _PRESET_FLAGS if getattr(args, k) is not None)
+    kind, dims, rank, sizes = (opts.pop(k, None) for k in ("kind", "dims", "rank", "sizes"))
     if kind is None:
         print("error: provide --preset or --kind/--dims/--rank", file=sys.stderr)
         return 2
@@ -249,8 +248,8 @@ def cmd_benchmark(args) -> int:
         jobs = [(tuple(_scaled(d, args.scale) for d in dims), _scaled(rank, args.scale), out_dir)]
     # Every spec is checked before the first run creates a directory.
     specs = [
-        ExperimentSpec(kind=kind, dims=d, rank=r, solvers=tuple(SOLVERS[kind]),
-                       base_seed=args.base_seed, config=cfg, out_dir=o, **opts)
+        ExperimentSpec(kind=kind, dims=d, rank=r, base_seed=args.base_seed,
+                       config=cfg, out_dir=o, **opts)
         for d, r, o in jobs
     ]
     sweep = []

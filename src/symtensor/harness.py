@@ -111,12 +111,12 @@ def solve_problem(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One problem family, a seed range, and the solvers to compare."""
+    """One problem family, a seed range, and the solvers to compare (default: all of the kind's)."""
 
     kind: str
     dims: tuple[int, ...]
     rank: int
-    solvers: tuple[str, ...] = ("pcls", "als")
+    solvers: tuple[str, ...] | None = None
     n_seeds: int = 10
     base_seed: int = 0
     init: str = "random"  # "random" or "perturbed"
@@ -127,6 +127,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         pattern = _pattern(self.kind)
+        if self.solvers is None:
+            object.__setattr__(self, "solvers", tuple(SOLVERS[self.kind]))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")

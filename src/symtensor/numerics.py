@@ -94,20 +94,22 @@ def symmetric_psd_factor(t: np.ndarray, r: int) -> np.ndarray:
     asym = float(np.linalg.norm(t - t.T))
     if asym > 1e-10 * scale:
         raise ValueError(f"matrix is not symmetric: ||t - t^T|| = {asym:.3e}")
+    e, count, mass = _psd_factor(t, r)
+    if count:
+        warnings.warn(ClippedEigenvaluesWarning(mass, count), stacklevel=2)
+    return e
+
+
+def _psd_factor(t: np.ndarray, r: int) -> tuple[np.ndarray, int, float]:
+    """:func:`symmetric_psd_factor` without its checks or warning; also returns
+    the count and total magnitude of the eigenvalues it clipped beyond roundoff."""
     w, u = np.linalg.eigh(0.5 * (t + t.T))
     w = w[::-1].copy()
     u = u[:, ::-1]
-    lim = 1e-10 * float(np.max(np.abs(w))) if n else 0.0
-    significant = w < -lim
-    if np.any(significant):
-        warnings.warn(
-            ClippedEigenvaluesWarning(
-                float(-w[significant].sum()), int(significant.sum())
-            ),
-            stacklevel=2,
-        )
+    significant = w < -1e-10 * float(np.max(np.abs(w)))
+    count, mass = int(significant.sum()), float(-w[significant].sum())
     np.clip(w, 0.0, None, out=w)
-    return u[:, :r] * np.sqrt(w[:r])
+    return u[:, :r] * np.sqrt(w[:r]), count, mass
 
 
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -40,11 +39,7 @@ from .core import (
     square_matricize,
     symmetry_check,
 )
-from .numerics import (
-    ClippedEigenvaluesWarning,
-    qr_orthogonal_factor,
-    symmetric_psd_factor,
-)
+from .numerics import _psd_factor, qr_orthogonal_factor
 
 __all__ = [
     "StopReason",
@@ -109,10 +104,10 @@ class ConvergenceTrace:
     i+1; elapsed[i] the wall-clock seconds that iteration took. The
     symmetry_defect list is filled only by als3_sym (Frobenius distance
     between the two factors that model symmetric modes). diagnostics holds
-    solver-specific counters (rank-deficient solves, redrawn columns,
-    clipped eigenvalue mass, factor-space residuals), and
-    "ill_conditioned_solves", the tall solves whose Gram was too
-    ill-conditioned for the singular-basis path and took the thin QR.
+    solver-specific counters (rank-deficient solves, redrawn columns, the
+    count and mass of clipped eigenvalues), and "ill_conditioned_solves",
+    the tall solves whose Gram was too ill-conditioned for the
+    singular-basis path and took the thin QR.
     """
 
     residuals: list[float]
@@ -561,13 +556,13 @@ def pcls4_full(
 ) -> tuple[FactorModel, ConvergenceTrace]:
     """Partial column-wise least squares for fully symmetric I^4 tensors.
 
-    Setup factors the square matricization as T ~= E E^T (eigenvalue
-    clipping is surfaced in the trace diagnostics). Each iteration then
+    Setup factors the square matricization as T ~= E E^T; eigenvalues
+    clipped beyond roundoff land in diagnostics["clipped_count"] and
+    ["clipped_mass"], and no warning is raised. Each iteration then
     fits A column-wise to G = E Q^T, refits P = argmin ||E - (A (x) A) P||,
     and takes Q as P's orthonormal QR factor. The starting Q is aligned to
     the initial A by one such refit, which makes an exact-truth start an
-    exact fixed point. Residuals are tensor-space; the factor-space
-    residuals ||E - (A (x) A) Q||_F^2 land in diagnostics["e_residuals"].
+    exact fixed point. Residuals are tensor-space.
     """
     pattern = SymmetryPattern.FSYM4
     run = _Run("pcls4_full", x, r, [init], cfg, pattern, "I x I x I x I", "A", symmetric=True)
@@ -575,26 +570,15 @@ def pcls4_full(
     if r > n * n:
         raise ValueError(f"rank {r} exceeds I^2 = {n * n}")
     a = run.factors[0]
-    diag = run.diag
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ClippedEigenvaluesWarning)
-        e = symmetric_psd_factor(square_matricize(run.x), r)
-    for w in caught:
-        if isinstance(w.message, ClippedEigenvaluesWarning):
-            diag["clipped_mass"] = w.message.clipped_mass
-            diag["clipped_count"] = w.message.count
-
-    e_residuals: list[float] = []
-    diag["e_residuals"] = e_residuals
+    e, count, mass = _psd_factor(square_matricize(run.x), r)
+    if count:
+        run.diag["clipped_mass"], run.diag["clipped_count"] = mass, count
     q = qr_orthogonal_factor(run.lstsq(khatri_rao(a, a), e))
 
     def step() -> list[np.ndarray]:
         nonlocal q
         run.sweep(a, e @ q.T)
-        aa = khatri_rao(a, a)
-        q = qr_orthogonal_factor(run.lstsq(aa, e))
-        d = e - aa @ q
-        e_residuals.append(float(np.sum(d * d)))
+        q = qr_orthogonal_factor(run.lstsq(khatri_rao(a, a), e))
         return [a]
 
     return run.iterate(step, pattern)

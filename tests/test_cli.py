@@ -22,6 +22,7 @@ from symtensor import (
     write_model,
     write_tensor,
 )
+from symtensor.cli import _PRESETS
 from symtensor.core import SymmetryPattern
 
 
@@ -347,6 +348,18 @@ def test_benchmark_preset_scaled_smoke(tmp_path):
     )
     assert set(doc["aggregates"]) == {"pcls", "als"}
     assert "pcls: converged" in res.stderr
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_every_preset_runs_scaled_down(tmp_path, preset):
+    res = run_cli(
+        "benchmark", "--preset", preset, "--scale", "0.1", "--seeds", "1",
+        "--max-iters", "20", "--out-dir", "out", cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    name = "sweep.json" if "sizes" in _PRESETS[preset] else "summary.json"
+    assert res.stdout.strip() == os.path.join("out", name)
+    assert os.path.exists(tmp_path / "out" / name)
 
 
 def test_benchmark_size_sweep(tmp_path):

@@ -276,6 +276,12 @@ def test_summary_json_schema(tmp_path):
     assert doc["aggregates"]["pcls"]["population"] == "converged"
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_DIMS))
+def test_experiment_spec_defaults_to_every_solver_of_its_kind(kind):
+    spec = ExperimentSpec(kind=kind, dims=KIND_DIMS[kind], rank=2)
+    assert spec.solvers == tuple(SOLVERS[kind])
+
+
 def test_experiment_spec_validation():
     ok = dict(kind="psym3", dims=(4, 4, 3), rank=2)
     ExperimentSpec(**ok)
