@@ -72,11 +72,13 @@ class SymmetryPattern(Enum):
     def factor_rows(self, dims: tuple[int, ...]) -> tuple[int, ...]:
         """Row count of each distinct factor for a tensor of shape ``dims``.
 
-        Raises ValueError when dims are inconsistent with the pattern (wrong
-        order, or unequal sizes in modes that share a factor).
+        The package's one shape rule: ValueError on a wrong order, a size
+        below 1, or unequal sizes in modes that share a factor.
         """
         if len(dims) != self.order:
             raise ValueError(f"pattern {self.value} needs order {self.order}, got dims {dims}")
+        if min(dims) < 1:
+            raise ValueError(f"pattern {self.value} needs positive dims, got {dims}")
         rows = [0] * self.n_factors
         for mode, f in enumerate(self.mode_factors):
             if rows[f] and rows[f] != dims[mode]:
@@ -246,20 +248,13 @@ def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:
 def symmetry_check(x: np.ndarray, pattern: SymmetryPattern, tol: float = 1e-12) -> bool:
     """True iff x is invariant under the pattern's permutations within tol.
 
-    Shape or order mismatches return False with a warning rather than raise,
-    so the check can gate solver preconditions on arbitrary input files.
+    A shape that :meth:`SymmetryPattern.factor_rows` rejects gives False and a
+    warning, not an error, so the check can gate solvers on arbitrary files.
     """
     x = np.asarray(x)
-    if x.ndim != pattern.order:
-        warnings.warn(
-            f"order {x.ndim} tensor checked against order-{pattern.order} "
-            f"pattern {pattern.value}"
-        )
+    try:
+        pattern.factor_rows(x.shape)
+    except ValueError as exc:
+        warnings.warn(str(exc))
         return False
-    for perm in pattern.permutations:
-        if tuple(x.shape[p] for p in perm) != x.shape:
-            warnings.warn(
-                f"shape {x.shape} is not permutable under pattern {pattern.value}"
-            )
-            return False
     return symmetry_defect(x, pattern) <= tol

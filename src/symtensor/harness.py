@@ -111,7 +111,10 @@ def solve_problem(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One problem family, a seed range, and the solvers to compare (default: all of the kind's)."""
+    """One problem family, a seed range, and the solvers to compare (default:
+    all of the kind's). ``config.seed`` does not reach the runs:
+    :func:`run_experiment` replaces it per seed with a redraw seed derived
+    from ``base_seed``."""
 
     kind: str
     dims: tuple[int, ...]
@@ -126,13 +129,10 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        pattern = _pattern(self.kind)
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        _pattern(self.kind).factor_rows(self.dims)
         if self.solvers is None:
             object.__setattr__(self, "solvers", tuple(SOLVERS[self.kind]))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 1 for d in self.dims):
-            raise ValueError("dims must be positive")
-        pattern.factor_rows(self.dims)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.n_seeds < 1:

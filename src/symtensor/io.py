@@ -19,6 +19,7 @@ Model file layout::
 """
 from __future__ import annotations
 
+import itertools
 import os
 from typing import IO, Iterable, Iterator
 
@@ -77,10 +78,9 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
             raise ValueError(f"{path}: empty tensor file") from None
         if order not in SUPPORTED_ORDERS:
             raise ValueError(f"{path}: unsupported tensor order {order}")
-        try:
-            dims = tuple(int(next(tok)) for _ in range(order))
-        except StopIteration:
-            raise ValueError(f"{path}: header ended before {order} dimensions") from None
+        dims = tuple(int(t) for t in itertools.islice(tok, order))
+        if len(dims) < order:
+            raise ValueError(f"{path}: header ended before {order} dimensions")
         if any(d < 1 for d in dims):
             raise ValueError(f"{path}: dimensions must be positive, got {dims}")
         values = [float(t) for t in tok]
@@ -119,6 +119,8 @@ def read_model(path: str | os.PathLike) -> FactorModel:
             factors = []
             for i in range(pattern.n_factors):
                 rows, cols = int(next(tok)), int(next(tok))
+                if rows < 1:
+                    raise ValueError(f"{path}: factor {i} rows must be positive, got {rows}")
                 if cols != rank:
                     raise ValueError(f"{path}: factor has {cols} columns, rank is {rank}")
                 data = np.array([float(next(tok)) for _ in range(rows * cols)], dtype=np.float64)

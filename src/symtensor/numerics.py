@@ -1,12 +1,12 @@
-"""Dense linear-algebra and polynomial helpers shared by the solvers.
+"""Dense linear-algebra and polynomial helpers.
 
-Everything here is a pure function over float64 arrays. The polynomial
-routines wrap the scalar kernels in :mod:`symtensor._kernels`.
+Pure functions over float64 arrays. The solvers use :func:`qr_orthogonal_factor`
+and the private :func:`_psd_factor`; the polynomial functions are README's scalar
+minimization layer, wrapping the kernels in :mod:`symtensor._kernels`.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +15,7 @@ from . import _kernels
 
 __all__ = [
     "QuarticCoefficients",
-    "ClippedEigenvaluesWarning",
     "qr_orthogonal_factor",
-    "symmetric_psd_factor",
     "real_cubic_roots",
     "quartic_global_min",
     "build_coordinate_quartic",
@@ -41,21 +39,6 @@ class QuarticCoefficients:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
 
 
-class ClippedEigenvaluesWarning(UserWarning):
-    """Negative eigenvalues were clipped to zero in a PSD factorization.
-
-    Attributes: ``count`` of clipped eigenvalues beyond roundoff and their
-    total magnitude ``clipped_mass``.
-    """
-
-    def __init__(self, clipped_mass: float, count: int):
-        self.clipped_mass = clipped_mass
-        self.count = count
-        super().__init__(
-            f"clipped {count} negative eigenvalue(s), total magnitude {clipped_mass:.6e}"
-        )
-
-
 def qr_orthogonal_factor(p: np.ndarray) -> np.ndarray:
     """Orthonormal-column Q of the reduced QR of p, diag(R) made nonnegative.
 
@@ -74,35 +57,13 @@ def qr_orthogonal_factor(p: np.ndarray) -> np.ndarray:
     return q * signs
 
 
-def symmetric_psd_factor(t: np.ndarray, r: int) -> np.ndarray:
-    """Rank-r factor E (n x r) with E E^T ~= t for symmetric PSD-like t.
-
-    The input is symmetrized, eigendecomposed, and negative eigenvalues are
-    clipped to zero; clipping beyond roundoff raises
-    :class:`ClippedEigenvaluesWarning`. Columns are eigenvectors scaled by
-    the square roots of the r largest eigenvalues, descending, so
-    ||t - E E^T||_F^2 is exactly the sum of squared discarded and clipped
-    eigenvalues.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {t.shape}")
-    n = t.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"target rank {r} out of range for a {n}x{n} matrix")
-    scale = float(np.linalg.norm(t))
-    asym = float(np.linalg.norm(t - t.T))
-    if asym > 1e-10 * scale:
-        raise ValueError(f"matrix is not symmetric: ||t - t^T|| = {asym:.3e}")
-    e, count, mass = _psd_factor(t, r)
-    if count:
-        warnings.warn(ClippedEigenvaluesWarning(mass, count), stacklevel=2)
-    return e
-
-
 def _psd_factor(t: np.ndarray, r: int) -> tuple[np.ndarray, int, float]:
-    """:func:`symmetric_psd_factor` without its checks or warning; also returns
-    the count and total magnitude of the eigenvalues it clipped beyond roundoff."""
+    """Rank-r factor E of a symmetric n x n t (E E^T ~= t, 1 <= r <= n), with
+    the count and total magnitude of the negative eigenvalues beyond
+    roundoff (below -1e-10 max|w|). Negative eigenvalues are clipped to zero;
+    E's columns are eigenvectors scaled by the square roots of the r largest
+    eigenvalues, descending, so ||t - E E^T||_F^2 is exactly the sum of the
+    squared discarded and clipped eigenvalues."""
     w, u = np.linalg.eigh(0.5 * (t + t.T))
     w = w[::-1].copy()
     u = u[:, ::-1]

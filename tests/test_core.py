@@ -91,8 +91,10 @@ def test_khatri_rao_matches_kron_oracle():
 
 
 def test_khatri_rao_column_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="column counts differ"):
         khatri_rao(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="expects matrices"):
+        khatri_rao(np.zeros(2), np.zeros((2, 1)))
 
 
 def test_unvec_of_khatri_rao_column_is_outer_product():
@@ -215,12 +217,17 @@ def test_model_validation():
         FactorModel(SymmetryPattern.PSYM3, [np.ones((2, 1)), np.ones((3, 2))])
     with pytest.raises(ValueError):
         FactorModel(SymmetryPattern.PSYM3, [np.ones((2, 0)), np.ones((3, 0))])
+    with pytest.raises(ValueError, match="2-D"):
+        FactorModel(SymmetryPattern.PSYM3, [np.ones(2), np.ones((3, 1))])
 
 
 def test_model_dims():
     model = FactorModel(SymmetryPattern.PSYM4_CASE1, [np.ones((3, 2)), np.ones((4, 2))])
     assert model.dims == (3, 4, 3, 4)
     assert model.rank == 2
+    assert reconstruct(model, (3, 4, 3, 4)).shape == (3, 4, 3, 4)
+    with pytest.raises(ValueError, match="model generates dims"):
+        reconstruct(model, (3, 4, 4, 3))
 
 
 # --------------------------------------------------------------------- #
@@ -275,6 +282,9 @@ def test_symmetry_check_shape_mismatch_is_false_not_error():
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("ignore")
         assert symmetry_check(np.zeros((3, 3)), SymmetryPattern.PSYM3) is False
+    # a zero size fails the pattern's shape rule before any entry is read
+    with pytest.warns(UserWarning, match="needs positive dims"):
+        assert symmetry_check(np.zeros((0, 0, 3)), SymmetryPattern.PSYM3) is False
 
 
 def test_symmetry_tolerance_boundary():

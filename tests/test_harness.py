@@ -21,6 +21,7 @@ from symtensor import (
     solve_problem,
     square_matricize,
     symmetry_check,
+    write_summary_json,
     write_trace_csv,
 )
 
@@ -92,6 +93,13 @@ def test_collinearity_range_validated():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match="collinearity"):
             generate_problem("psym3", (4, 4, 3), 2, rng, collinearity=bad)
+
+
+def test_zero_size_dims_are_rejected_by_the_pattern():
+    with pytest.raises(ValueError, match=r"psym3 needs positive dims, got \(0, 0, 3\)"):
+        generate_problem("psym3", (0, 0, 3), 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"psym3 needs positive dims, got \(0, 0, 3\)"):
+        ExperimentSpec(kind="psym3", dims=(0, 0, 3), rank=2)
 
 
 def test_unknown_kind_lists_known_ones():
@@ -261,7 +269,7 @@ def test_run_experiment_no_converged_runs_gives_none_stats():
 
 def test_summary_json_schema(tmp_path):
     spec = _small_spec(out_dir=str(tmp_path), n_seeds=1, solvers=("pcls",))
-    run_experiment(spec)
+    summary = run_experiment(spec)
     with open(tmp_path / "summary.json", encoding="utf-8") as fh:
         doc = json.load(fh)
     assert set(doc) == {"experiment", "runs", "aggregates"}
@@ -274,6 +282,8 @@ def test_summary_json_schema(tmp_path):
                 "wall_time", "stop_reason", "trace_path"):
         assert key in run
     assert doc["aggregates"]["pcls"]["population"] == "converged"
+    with pytest.raises(OSError, match="failed to write summary"):
+        write_summary_json(summary, str(tmp_path / "missing_dir" / "summary.json"))
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_DIMS))

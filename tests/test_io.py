@@ -68,8 +68,20 @@ def test_tensor_rejects_non_finite_entries(tmp_path, body, index, value):
 def test_tensor_rejects_empty(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# nothing here\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty tensor file"):
         read_tensor(path)
+    path.write_text("3 2 2\n")
+    with pytest.raises(ValueError, match="header ended before 3 dimensions"):
+        read_tensor(path)
+
+
+def test_tensor_rejects_non_positive_dims(tmp_path):
+    path = tmp_path / "t.txt"
+    for dims in ("0 2 3", "2 -1 3"):
+        path.write_text(f"3 {dims}\n")
+        with pytest.raises(ValueError, match="dimensions must be positive") as info:
+            read_tensor(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_write_tensor_rejects_matrix():
@@ -103,6 +115,25 @@ def test_model_rejects_truncated(tmp_path):
     path.write_text("psym3 2\n2 2\n1 2 3 4\n")
     with pytest.raises(ValueError, match="ended early"):
         read_model(path)
+    path.write_text("# nothing here\n")
+    with pytest.raises(ValueError, match="empty model file"):
+        read_model(path)
+
+
+def test_model_rejects_column_count_other_than_rank(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("psym3 2\n2 1\n1 2\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match="factor has 1 columns, rank is 2"):
+        read_model(path)
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_model_rejects_non_positive_rows(tmp_path, rows):
+    path = tmp_path / "m.txt"
+    path.write_text(f"psym3 2\n{rows} 2\n4 2\n1 2 3 4 5 6 7 8\n")
+    with pytest.raises(ValueError, match=f"factor 0 rows must be positive, got {rows}") as info:
+        read_model(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_model_rejects_trailing_garbage(tmp_path):

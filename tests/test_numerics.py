@@ -4,20 +4,17 @@ The polynomial oracles here go through numpy's companion-matrix root finder
 and dense grid search, which share no code with the closed-form kernels
 under test.
 """
-import warnings
-
 import numpy as np
 import pytest
 
 from symtensor import (
-    ClippedEigenvaluesWarning,
     QuarticCoefficients,
     build_coordinate_quartic,
     qr_orthogonal_factor,
     quartic_global_min,
     real_cubic_roots,
-    symmetric_psd_factor,
 )
+from symtensor.numerics import _psd_factor
 
 from _oracles import cubic_discriminant, quartic_grid_min
 
@@ -52,6 +49,11 @@ def test_cubic_degenerate_degrees():
     np.testing.assert_allclose(real_cubic_roots(0, 1, 0, -4), [-2.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(real_cubic_roots(0, 1, -2, 1), [1.0], atol=1e-12)
     assert real_cubic_roots(0, 1, 0, 1).size == 0  # x^2 + 1
+    np.testing.assert_allclose(real_cubic_roots(0, 1, -3, 2), [1.0, 2.0], atol=1e-12)
+    np.testing.assert_array_equal(real_cubic_roots(0, 1, 0, 0), [0.0])
+    assert real_cubic_roots(0, 1, 1, 1).size == 0  # negative discriminant
+    # the small root of x^2 + 1e8 x + 1 by the cancellation-free formula
+    assert real_cubic_roots(0, 1, 1e8, 1)[1] == pytest.approx(-1e-8, rel=1e-12)
     np.testing.assert_allclose(real_cubic_roots(0, 0, 2, -6), [3.0], atol=1e-12)
     with pytest.raises(ValueError):
         real_cubic_roots(0, 0, 0, 1)
@@ -233,8 +235,10 @@ def test_qr_orthonormal_and_sign_fixed():
 
 
 def test_qr_rejects_wide():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows >= cols"):
         qr_orthogonal_factor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="expects a matrix"):
+        qr_orthogonal_factor(np.ones(3))
 
 
 # --------------------------------------------------------------------- #
@@ -243,32 +247,32 @@ def test_qr_rejects_wide():
 
 
 def test_psd_factor_diagonal():
-    e = symmetric_psd_factor(np.diag([4.0, 1.0]), 2)
+    e, count, mass = _psd_factor(np.diag([4.0, 1.0]), 2)
     np.testing.assert_allclose(e @ e.T, np.diag([4.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(np.abs(e), np.diag([2.0, 1.0]), atol=1e-12)
+    assert (count, mass) == (0, 0.0)
 
 
 def test_psd_factor_rank_one():
     v = np.array([1.0, -2.0, 0.5])
-    e = symmetric_psd_factor(np.outer(v, v), 1)
+    e, _, _ = _psd_factor(np.outer(v, v), 1)
     np.testing.assert_allclose(e @ e.T, np.outer(v, v), atol=1e-12)
 
 
-def test_psd_factor_clips_with_warning():
-    with pytest.warns(ClippedEigenvaluesWarning) as rec:
-        e = symmetric_psd_factor(np.diag([1.0, -1.0]), 2)
+def test_psd_factor_clips_and_counts():
+    e, count, mass = _psd_factor(np.diag([1.0, -1.0]), 2)
     np.testing.assert_allclose(e @ e.T, np.diag([1.0, 0.0]), atol=1e-12)
-    assert rec[0].message.count == 1
-    assert rec[0].message.clipped_mass == pytest.approx(1.0)
+    assert count == 1
+    assert mass == pytest.approx(1.0)
 
 
-def test_psd_factor_roundoff_negatives_are_silent(recwarn):
+def test_psd_factor_roundoff_negatives_are_silent():
     rng = np.random.default_rng(107)
     a = rng.standard_normal((6, 3))
     t = a @ a.T  # PSD up to roundoff; tiny negative eigenvalues possible
-    e = symmetric_psd_factor(t, 3)
+    e, count, mass = _psd_factor(t, 3)
     np.testing.assert_allclose(e @ e.T, t, atol=1e-10)
-    assert not any(isinstance(w.message, ClippedEigenvaluesWarning) for w in recwarn.list)
+    assert (count, mass) == (0, 0.0)
 
 
 def test_psd_factor_truncation_error_equals_discarded_mass():
@@ -277,25 +281,13 @@ def test_psd_factor_truncation_error_equals_discarded_mass():
     lam = np.array([9.0, 4.0, 1.0, 0.25, 0.01, -0.5, -2.0, 0.0])
     t = (q * lam) @ q.T
     for r in (2, 4, 6):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClippedEigenvaluesWarning)
-            e = symmetric_psd_factor(t, r)
+        e, count, mass = _psd_factor(t, r)
+        assert count == 2
+        assert mass == pytest.approx(2.5, rel=1e-12)
         kept = np.sort(np.clip(lam, 0.0, None))[::-1][:r]
         expected_sq = float(np.sum(lam**2) - np.sum(kept**2))
         err_sq = float(np.sum((t - e @ e.T) ** 2))
         assert err_sq == pytest.approx(expected_sq, rel=1e-10, abs=1e-12)
-
-
-def test_psd_factor_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        symmetric_psd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
-
-
-def test_psd_factor_rank_bounds():
-    with pytest.raises(ValueError):
-        symmetric_psd_factor(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        symmetric_psd_factor(np.eye(3), 4)
 
 
 # --------------------------------------------------------------------- #

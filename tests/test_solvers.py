@@ -5,6 +5,7 @@ exact minimizers are known and truth-start runs must hold still.
 """
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -325,12 +326,12 @@ def test_pcls4_full_reports_clipped_mass():
     assert d.get("clipped_mass", 0.0) > 0.0
     assert d.get("clipped_count", 0) >= 1
     assert list(d)[:2] == ["clipped_mass", "clipped_count"]
-    # The same figures symmetric_psd_factor's warning carries.
-    with pytest.warns(symtensor.ClippedEigenvaluesWarning) as rec:
-        symtensor.symmetric_psd_factor(symtensor.square_matricize(x), 2)
-    assert (d["clipped_count"], d["clipped_mass"]) == (
-        rec[0].message.count, rec[0].message.clipped_mass
-    )
+    # An independent oracle: the eigenvalues of the square matricization
+    # below -1e-10 max|w|, counted and summed.
+    w = np.linalg.eigvalsh(symtensor.square_matricize(x))
+    clipped = w[w < -1e-10 * np.abs(w).max()]
+    assert d["clipped_count"] == clipped.size
+    assert d["clipped_mass"] == pytest.approx(-clipped.sum(), rel=1e-12)
 
 
 def test_pcls4_full_accepts_what_its_symmetry_precondition_accepts():
@@ -673,6 +674,17 @@ def test_non_finite_or_overflowing_input_rejected(name, bad):
         problem = "overflows" if np.isfinite(bad) else "non-finite"
     with pytest.raises(ValueError, match=problem):
         solver(x, 2, init, SolverConfig(max_iters=3))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_zero_size_tensor_rejected(name):
+    """A zero size fails the pattern's shape rule before any entry is read."""
+    solver, pattern, dims = SOLVERS[name]
+    _, model = make_problem(pattern, dims, 2, seed=40)
+    zero = tuple(0 if f == 0 else d for d, f in zip(dims, pattern.mode_factors))
+    message = rf"{name} expects an .* tensor, got {re.escape(str(zero))}"
+    with pytest.raises(ValueError, match=message):
+        solver(np.zeros(zero), 2, truth_init(name, model), SolverConfig(max_iters=3))
 
 
 def test_pcls4_full_rank_cap():
