@@ -1,9 +1,9 @@
 """Scalar hot loops: real cubic roots, quartic minimization, coordinate sweeps.
 
 Written as plain Python over scalars and lists, whose scalar reads cost a
-fraction of numpy's. :mod:`symtensor.numerics` wraps ``cubic_roots`` and
-``quartic_min``; the pcls solvers call ``coordinate_sweep``, one cyclic pass
-over the coordinates, once per live factor column. The bits matter:
+fraction of numpy's. The pcls solvers call ``coordinate_sweep``, one cyclic
+pass over the coordinates, once per live factor column; ``cubic_roots`` and
+``quartic_min`` are the scalar layer beneath it. The bits matter:
 random-start pcls runs are chaotic, and a sweep that differs only at
 roundoff (a BLAS dot for the sums, say) changes their iteration counts and
 can fail the acceptance gates. :func:`coordinate_sweep` says why its

@@ -34,6 +34,8 @@ __all__ = [
     "write_model",
 ]
 
+_PER_LINE = 6  # values per line in written files
+
 
 def _tokens(lines: Iterable[str]) -> Iterator[str]:
     for line in lines:
@@ -45,10 +47,10 @@ def _format(v: float) -> str:
     return "%.17g" % v
 
 
-def _write_values(fh: IO[str], values: np.ndarray, per_line: int = 6) -> None:
+def _write_values(fh: IO[str], values: np.ndarray) -> None:
     flat = values.ravel(order="F")
-    for start in range(0, flat.size, per_line):
-        fh.write(" ".join(_format(v) for v in flat[start : start + per_line]))
+    for start in range(0, flat.size, _PER_LINE):
+        fh.write(" ".join(_format(v) for v in flat[start : start + _PER_LINE]))
         fh.write("\n")
 
 
@@ -96,6 +98,8 @@ def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported tensor order {t.ndim}")
+    if min(t.shape) < 1:
+        raise ValueError(f"dimensions must be positive, got {t.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{t.ndim} " + " ".join(str(d) for d in t.shape) + "\n")
         _write_values(fh, t)
@@ -116,6 +120,8 @@ def read_model(path: str | os.PathLike) -> FactorModel:
             raise ValueError(f"{path}: unknown pattern {name!r} (known: {known})") from None
         try:
             rank = int(next(tok))
+            if rank < 1:
+                raise ValueError(f"{path}: rank must be positive, got {rank}")
             factors = []
             for i in range(pattern.n_factors):
                 rows, cols = int(next(tok)), int(next(tok))

@@ -33,13 +33,12 @@ from symtensor import (
     pcls4_case1,
     pcls4_case2,
     pcls4_full,
-    quartic_global_min,
-    QuarticCoefficients,
     reconstruct,
     run_experiment,
     square_matricize,
     symmetry_check,
 )
+from symtensor._kernels import quartic_min
 
 from _oracles import (
     iterations_to_threshold,
@@ -285,13 +284,13 @@ def test_ac7_quartic_minimizer_matches_grid_search():
         if 1.0 + max(3 * abs(c3), 2 * abs(c2), abs(c1)) / (4 * c4) > 19.0:
             continue
         accepted += 1
-        q = QuarticCoefficients(c4, c3, c2, c1, c0)
-        x, v = quartic_global_min(q)
+        q = (c4, c3, c2, c1, c0)
+        x, v = quartic_min(*q)
         assert abs(x) < 19.0  # grid window sanity
-        xg, vg = quartic_grid_min(q.as_tuple())
+        xg, vg = quartic_grid_min(q)
         dx, dv = abs(x - xg), abs(v - vg)
         if not (dx <= 1e-3 or dv <= 1e-8):
-            _report("AC-7", False, f"coefficients {q.as_tuple()}: dx={dx:.2e}, dv={dv:.2e}")
+            _report("AC-7", False, f"coefficients {q}: dx={dx:.2e}, dv={dv:.2e}")
         worst_dx = max(worst_dx, dx)
     _report(
         "AC-7", True,

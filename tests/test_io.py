@@ -84,9 +84,14 @@ def test_tensor_rejects_non_positive_dims(tmp_path):
         assert str(info.value).startswith(f"{path}: ")
 
 
-def test_write_tensor_rejects_matrix():
-    with pytest.raises(ValueError):
-        write_tensor("/tmp/unused.txt", np.zeros((2, 2)))
+def test_write_tensor_rejects_matrix(tmp_path):
+    path = tmp_path / "t.txt"
+    with pytest.raises(ValueError, match="order 2"):
+        write_tensor(path, np.zeros((2, 2)))
+    # a zero-size tensor's header would be one that read_tensor refuses
+    with pytest.raises(ValueError, match=r"dimensions must be positive, got \(0, 0, 3\)"):
+        write_tensor(path, np.zeros((0, 0, 3)))
+    assert not path.exists()
 
 
 def test_model_roundtrip_bit_exact(tmp_path):
@@ -125,6 +130,11 @@ def test_model_rejects_column_count_other_than_rank(tmp_path):
     path.write_text("psym3 2\n2 1\n1 2\n1 2\n3 4\n")
     with pytest.raises(ValueError, match="factor has 1 columns, rank is 2"):
         read_model(path)
+    for rank in (0, -1):
+        path.write_text(f"psym3 {rank}\n2 {rank}\n4 {rank}\n")
+        with pytest.raises(ValueError, match=f"rank must be positive, got {rank}") as info:
+            read_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("rows", [0, -1])

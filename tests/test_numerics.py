@@ -1,19 +1,15 @@
-"""Polynomial and linear-algebra kernels against independent references.
+"""The scalar kernels the column sweep runs, and numerics' linear algebra,
+against independent references.
 
-The polynomial oracles here go through numpy's companion-matrix root finder
-and dense grid search, which share no code with the closed-form kernels
-under test.
+The polynomial oracles here go through numpy's companion-matrix root finder,
+dense grid search and the brute-force objective ||y - v v^T||_F^2, which
+share no code with the closed-form kernels in ``symtensor._kernels``.
 """
 import numpy as np
 import pytest
 
-from symtensor import (
-    QuarticCoefficients,
-    build_coordinate_quartic,
-    qr_orthogonal_factor,
-    quartic_global_min,
-    real_cubic_roots,
-)
+from symtensor import _kernels, qr_orthogonal_factor
+from symtensor._kernels import cubic_roots, quartic_min
 from symtensor.numerics import _psd_factor
 
 from _oracles import cubic_discriminant, quartic_grid_min
@@ -28,37 +24,27 @@ def roots_oracle_quartic_min(c):
     return float(real[i]), float(vals[i])
 
 
+def real_roots(c3, c2, c1, c0):
+    """The real roots ``cubic_roots`` reports for c3 x^3 + c2 x^2 + c1 x + c0."""
+    n, *roots = cubic_roots(c2 / c3, c1 / c3, c0 / c3)
+    return np.array(roots[:n])
+
+
 # --------------------------------------------------------------------- #
 # Cubic roots                                                            #
 # --------------------------------------------------------------------- #
 
 
 def test_cubic_known_roots():
-    np.testing.assert_allclose(real_cubic_roots(1, 0, 0, -1), [1.0], atol=1e-12)
-    np.testing.assert_allclose(real_cubic_roots(1, 0, -1, 0), [-1.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(real_cubic_roots(4, 0, 4, 0), [0.0], atol=1e-12)
+    np.testing.assert_allclose(real_roots(1, 0, 0, -1), [1.0], atol=1e-12)
+    np.testing.assert_allclose(real_roots(1, 0, -1, 0), [-1.0, 0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(real_roots(4, 0, 4, 0), [0.0], atol=1e-12)
 
 
 def test_cubic_multiple_roots_reported_once():
     # (x-1)^3 and (x-1)^2 (x+2)
-    np.testing.assert_allclose(real_cubic_roots(1, -3, 3, -1), [1.0], atol=1e-7)
-    np.testing.assert_allclose(real_cubic_roots(1, 0, -3, 2), [-2.0, 1.0], atol=1e-7)
-
-
-def test_cubic_degenerate_degrees():
-    np.testing.assert_allclose(real_cubic_roots(0, 1, 0, -4), [-2.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(real_cubic_roots(0, 1, -2, 1), [1.0], atol=1e-12)
-    assert real_cubic_roots(0, 1, 0, 1).size == 0  # x^2 + 1
-    np.testing.assert_allclose(real_cubic_roots(0, 1, -3, 2), [1.0, 2.0], atol=1e-12)
-    np.testing.assert_array_equal(real_cubic_roots(0, 1, 0, 0), [0.0])
-    assert real_cubic_roots(0, 1, 1, 1).size == 0  # negative discriminant
-    # the small root of x^2 + 1e8 x + 1 by the cancellation-free formula
-    assert real_cubic_roots(0, 1, 1e8, 1)[1] == pytest.approx(-1e-8, rel=1e-12)
-    np.testing.assert_allclose(real_cubic_roots(0, 0, 2, -6), [3.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        real_cubic_roots(0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        real_cubic_roots(0, 0, 0, 0)
+    np.testing.assert_allclose(real_roots(1, -3, 3, -1), [1.0], atol=1e-7)
+    np.testing.assert_allclose(real_roots(1, 0, -3, 2), [-2.0, 1.0], atol=1e-7)
 
 
 def test_cubic_random_residuals_and_counts():
@@ -69,7 +55,7 @@ def test_cubic_random_residuals_and_counts():
         c3, c2, c1, c0 = rng.standard_normal(4)
         if abs(c3) < 1e-3:
             c3 += np.sign(c3 or 1.0)
-        roots = real_cubic_roots(c3, c2, c1, c0)
+        roots = real_roots(c3, c2, c1, c0)
         assert roots.size >= 1
         scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
         for rho in roots:
@@ -83,7 +69,7 @@ def test_cubic_random_residuals_and_counts():
 
 
 def test_cubic_roots_sorted():
-    roots = real_cubic_roots(1.0, -6.0, 11.0, -6.0)  # (x-1)(x-2)(x-3)
+    roots = real_roots(1.0, -6.0, 11.0, -6.0)  # (x-1)(x-2)(x-3)
     np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], atol=1e-10)
 
 
@@ -94,37 +80,22 @@ def test_cubic_roots_sorted():
 
 def test_quartic_known_minima():
     # (4 - x^2)^2 + 2 (6 - 3x)^2 expands to x^4 + 10 x^2 - 72 x + 88
-    x, v = quartic_global_min(QuarticCoefficients(1, 0, 10, -72, 88))
+    x, v = quartic_min(1, 0, 10, -72, 88)
     assert abs(x - 2.0) < 1e-10
     assert abs(v) < 1e-10
 
-    assert quartic_global_min(QuarticCoefficients(1, 0, 0, 0, 0)) == (0.0, 0.0)
+    assert quartic_min(1, 0, 0, 0, 0) == (0.0, 0.0)
 
-    x, v = quartic_global_min(QuarticCoefficients(1, 0, 2, 0, 1))
+    x, v = quartic_min(1, 0, 2, 0, 1)
     assert x == 0.0
     assert v == 1.0
 
 
 def test_quartic_symmetric_tie_breaks_to_smaller_x():
     # x^4 - 2 x^2 has minima at -1 and 1 with equal value
-    x, v = quartic_global_min(QuarticCoefficients(1, 0, -2, 0, 0))
+    x, v = quartic_min(1, 0, -2, 0, 0)
     assert x == -1.0
     assert abs(v + 1.0) < 1e-12
-
-
-def test_quartic_degenerate_quadratic():
-    x, v = quartic_global_min(QuarticCoefficients(0, 0, 2, -4, 0))
-    assert abs(x - 1.0) < 1e-14
-    assert abs(v + 2.0) < 1e-14
-
-
-def test_quartic_rejects_non_coercive():
-    with pytest.raises(ValueError):
-        quartic_global_min(QuarticCoefficients(0, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        quartic_global_min(QuarticCoefficients(-1, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        quartic_global_min(QuarticCoefficients(0, 0, -1, 0, 0))
 
 
 def test_quartic_against_grid_and_roots_oracle():
@@ -133,9 +104,9 @@ def test_quartic_against_grid_and_roots_oracle():
     for _ in range(1000):
         c4 = rng.uniform(1e-3, 10.0)
         c3, c2, c1, c0 = 5.0 * rng.standard_normal(4)
-        q = QuarticCoefficients(c4, c3, c2, c1, c0)
-        x, v = quartic_global_min(q)
-        xo, vo = roots_oracle_quartic_min(np.array(q.as_tuple()))
+        q = (c4, c3, c2, c1, c0)
+        x, v = quartic_min(*q)
+        xo, vo = roots_oracle_quartic_min(np.array(q))
         assert abs(x - xo) <= 1e-6 or abs(v - vo) <= 1e-8 * (1.0 + abs(vo))
     # a thinner sample against the very slow dense grid; the root bound
     # keeps minimizers inside the grid window
@@ -146,72 +117,21 @@ def test_quartic_against_grid_and_roots_oracle():
         if 1.0 + max(3 * abs(c3), 2 * abs(c2), abs(c1)) / (4 * c4) > 19.0:
             continue
         done += 1
-        q = QuarticCoefficients(c4, c3, c2, c1, c0)
-        x, v = quartic_global_min(q)
-        xg, vg = quartic_grid_min(q.as_tuple())
+        q = (c4, c3, c2, c1, c0)
+        x, v = quartic_min(*q)
+        xg, vg = quartic_grid_min(q)
         assert abs(x - xg) <= 1e-3 or abs(v - vg) <= 1e-8 * (1.0 + abs(vg))
 
 
 def test_quartic_minimum_is_at_critical_point():
     rng = np.random.default_rng(102)
     for _ in range(200):
-        q = QuarticCoefficients(rng.uniform(0.1, 5.0), *rng.standard_normal(4))
-        x, v = quartic_global_min(q)
-        deriv = ((4 * q.c4 * x + 3 * q.c3) * x + 2 * q.c2) * x + q.c1
+        c4, c3, c2, c1, c0 = rng.uniform(0.1, 5.0), *rng.standard_normal(4)
+        x, v = quartic_min(c4, c3, c2, c1, c0)
+        deriv = ((4 * c4 * x + 3 * c3) * x + 2 * c2) * x + c1
         assert abs(deriv) <= 1e-6 * (1.0 + abs(x) ** 3)
-        assert q.evaluate(x) == pytest.approx(v, abs=1e-9, rel=1e-9)
-
-
-# --------------------------------------------------------------------- #
-# Coordinate quartic construction                                        #
-# --------------------------------------------------------------------- #
-
-
-def test_build_coordinate_quartic_known():
-    y = np.array([[4.0, 6.0], [6.0, 9.0]])
-    q = build_coordinate_quartic(y, np.array([0.0, 3.0]), 0)
-    assert q.as_tuple() == (1.0, 0.0, 10.0, -72.0, 88.0)
-
-
-def test_build_coordinate_quartic_one_dim():
-    q = build_coordinate_quartic(np.array([[-1.0]]), np.array([0.0]), 0)
-    assert q.as_tuple() == (1.0, 0.0, 2.0, 0.0, 1.0)
-
-
-def test_build_coordinate_quartic_zero_matrix():
-    x = np.array([2.0, 1.0, -1.0])
-    q = build_coordinate_quartic(np.zeros((3, 3)), x, 1)
-    assert q.as_tuple() == (1.0, 0.0, 2.0 * (4.0 + 1.0), 0.0, 0.0)
-
-
-def test_build_coordinate_quartic_matches_objective():
-    """The coefficients reproduce the x_i-dependent part of ||y - xx^T||^2."""
-    rng = np.random.default_rng(103)
-    y = rng.standard_normal((4, 4))
-    x = rng.standard_normal(4)
-    i = 2
-
-    def explicit(s):
-        z = x.copy()
-        z[i] = s
-        full = float(np.sum((y - np.outer(z, z)) ** 2))
-        rest = 0.0
-        for a in range(4):
-            for b in range(4):
-                if a != i and b != i:
-                    rest += (y[a, b] - z[a] * z[b]) ** 2
-        return full - rest
-
-    q = build_coordinate_quartic(y, x, i)
-    for s in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert q.evaluate(s) == pytest.approx(explicit(s), rel=1e-12, abs=1e-12)
-
-
-def test_build_coordinate_quartic_validates():
-    with pytest.raises(ValueError):
-        build_coordinate_quartic(np.zeros((2, 3)), np.zeros(2), 0)
-    with pytest.raises(ValueError):
-        build_coordinate_quartic(np.zeros((2, 2)), np.zeros(2), 2)
+        value = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+        assert value == pytest.approx(v, abs=1e-9, rel=1e-9)
 
 
 # --------------------------------------------------------------------- #
@@ -297,8 +217,6 @@ def test_psd_factor_truncation_error_equals_discarded_mass():
 
 def test_sweep_against_roots_oracle():
     """One full coordinate sweep vs per-coordinate companion-matrix solves."""
-    from symtensor import _kernels
-
     rng = np.random.default_rng(109)
     a0 = rng.standard_normal(5)
     y = rng.standard_normal((5, 5))
@@ -314,6 +232,37 @@ def test_sweep_against_roots_oracle():
     got = a0.tolist()
     _kernels.coordinate_sweep(got, (y + y.T).tolist())
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
+
+
+def test_sweep_last_coordinate_minimizes_objective():
+    """After one sweep, the last coordinate is the global minimizer of the
+    brute-force ||y - v v^T||_F^2 in that coordinate, the others held at
+    their final values. The oracle fits a quartic through samples of the
+    objective and minimizes it by companion roots, so it shares no
+    coefficient formula with the sweep."""
+    # y = [2, 3] [2, 3]^T from [0, 3]: the first coordinate minimizes
+    # x^4 + 10 x^2 - 72 x + 88, at 2, and the second then lands back on 3
+    known = [0.0, 3.0]
+    _kernels.coordinate_sweep(known, [[8.0, 12.0], [12.0, 18.0]])
+    np.testing.assert_allclose(known, [2.0, 3.0], rtol=1e-12)
+
+    rng = np.random.default_rng(103)
+    for n in (1, 2, 3, 5, 8):
+        for scale in (1e-2, 1.0, 1e2):
+            y = scale**2 * rng.standard_normal((n, n))
+            v = (scale * rng.standard_normal(n)).tolist()
+            _kernels.coordinate_sweep(v, (y + y.T).tolist())
+
+            def objective(s):
+                z = np.array(v)
+                z[-1] = s
+                return float(np.sum((y - np.outer(z, z)) ** 2))
+
+            width = max(max(map(abs, v)), float(np.sqrt(np.max(np.abs(y)))))
+            samples = width * np.linspace(-2.0, 2.0, 9)
+            fit = np.polyfit(samples, [objective(s) for s in samples], 4)
+            best = objective(roots_oracle_quartic_min(fit)[0])
+            assert objective(v[-1]) <= best + 1e-10 * (1.0 + best), (n, scale)
 
 
 def _sweep_cases(rng):
@@ -337,8 +286,6 @@ def test_sweep_bitwise_equals_array_loop(monkeypatch):
     """The list sweep does the array loop's arithmetic in its order, bit for
     bit, in the inline one-root case and in the cases it hands to
     ``quartic_min`` (three distinct roots, and roots merged into fewer)."""
-    from symtensor import _kernels
-
     from _oracles import sweep_array_loop
 
     plain_min, plain_roots = _kernels.quartic_min, _kernels.cubic_roots
