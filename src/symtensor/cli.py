@@ -20,6 +20,7 @@ from .harness import (
     SOLVERS,
     ExperimentSpec,
     RunSummary,
+    _solver,
     generate_problem,
     run_experiment,
     solve_problem,
@@ -181,12 +182,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.solver not in SOLVERS[args.pattern]:
-        print(
-            f"error: solver {args.solver!r} is not available for pattern "
-            f"{args.pattern!r} (available: {', '.join(SOLVERS[args.pattern])})",
-            file=sys.stderr,
-        )
+    try:
+        _solver(args.pattern, args.solver)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     x = read_tensor(args.input)
     shapes = [(n, args.rank) for n in SymmetryPattern(args.pattern).factor_rows(x.shape)]

@@ -104,7 +104,8 @@ class FactorModel:
 
     ``factors[f]`` is reused in every tensor mode ``m`` with
     ``pattern.mode_factors[m] == f``. All factors share the column count R
-    (the number of rank-one summands).
+    (the number of rank-one summands), and the dims they generate pass
+    :meth:`SymmetryPattern.factor_rows`, so every factor has a row.
     """
 
     pattern: SymmetryPattern
@@ -125,6 +126,7 @@ class FactorModel:
             raise ValueError(f"factors disagree on column count: {sorted(ranks)}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        self.pattern.factor_rows(self.dims)
 
     @property
     def rank(self) -> int:

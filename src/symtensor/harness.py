@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -60,6 +61,20 @@ def _pattern(kind: str) -> SymmetryPattern:
     return SymmetryPattern(kind)
 
 
+def _solver(kind: str, name: str):
+    """The solver function that ``name`` ("pcls" or "als") runs on ``kind``."""
+    _pattern(kind)
+    if name not in SOLVERS[kind]:
+        raise ValueError(f"solver {name!r} is not available for kind {kind!r} "
+                         f"(available: {', '.join(SOLVERS[kind])})")
+    return SOLVERS[kind][name]
+
+
+def _check_collinearity(c: float) -> None:
+    if not 0.0 <= c < 1.0:
+        raise ValueError(f"collinearity must lie in [0, 1), got {c}")
+
+
 def _draw_factor(rng: np.random.Generator, rows: int, r: int, collinearity: float) -> np.ndarray:
     """Random factor with a tunable shared component across columns.
 
@@ -68,12 +83,8 @@ def _draw_factor(rng: np.random.Generator, rows: int, r: int, collinearity: floa
     similarity c, which is what makes alternating least squares prone to
     long swamp plateaus.
     """
-    g = rng.standard_normal((rows, r))
-    if collinearity == 0.0:
-        return g
-    if not 0.0 <= collinearity < 1.0:
-        raise ValueError("collinearity must lie in [0, 1)")
-    return np.sqrt(collinearity) + np.sqrt(1.0 - collinearity) * g
+    _check_collinearity(collinearity)
+    return np.sqrt(collinearity) + np.sqrt(1.0 - collinearity) * rng.standard_normal((rows, r))
 
 
 def generate_problem(
@@ -103,10 +114,7 @@ def solve_problem(
     cfg: SolverConfig,
 ) -> tuple[FactorModel, ConvergenceTrace]:
     """Run the named solver on a tensor of the given kind."""
-    _pattern(kind)
-    if solver not in SOLVERS[kind]:
-        raise ValueError(f"solver {solver!r} is not available for kind {kind!r}")
-    return SOLVERS[kind][solver](x, rank, init[0] if kind == "fsym4" else init, cfg)
+    return _solver(kind, solver)(x, rank, init[0] if kind == "fsym4" else init, cfg)
 
 
 @dataclass(frozen=True)
@@ -133,19 +141,17 @@ class ExperimentSpec:
         _pattern(self.kind).factor_rows(self.dims)
         if self.solvers is None:
             object.__setattr__(self, "solvers", tuple(SOLVERS[self.kind]))
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.n_seeds < 1:
-            raise ValueError("need at least one seed")
+        for name in ("rank", "n_seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.init not in ("random", "perturbed"):
             raise ValueError(f"init must be 'random' or 'perturbed', got {self.init!r}")
-        if not 0.0 <= self.collinearity < 1.0:
-            raise ValueError("collinearity must lie in [0, 1)")
+        _check_collinearity(self.collinearity)
         if not self.init_sigma >= 0.0:
             raise ValueError(f"init_sigma must be >= 0, got {self.init_sigma}")
         for s in self.solvers:
-            if s not in SOLVERS[self.kind]:
-                raise ValueError(f"solver {s!r} not available for kind {self.kind!r}")
+            _solver(self.kind, s)
 
 
 @dataclass(frozen=True)

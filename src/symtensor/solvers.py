@@ -13,15 +13,16 @@ every step shares: the counted least-squares solve (:meth:`_Run._solve`),
 the column sweep (:meth:`_Run.sweep`) and the loop with its stopping rules
 (:meth:`_Run.iterate`). The pcls solves and the als refits (:func:`_als`)
 trust a Gram matrix by one rule, :func:`_factor_gram`'s. ``_Run`` and the
-steps call the core and numerics functions through this module's globals,
-and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module
-attributes, so rebinding one of those names times or replaces that layer
-for every solver.
+steps call the core functions and :func:`qr_orthogonal_factor` through this
+module's globals, and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep``
+as module attributes, so rebinding one of those names times or replaces
+that layer for every solver.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +40,6 @@ from .core import (
     square_matricize,
     symmetry_check,
 )
-from .numerics import _psd_factor, qr_orthogonal_factor
 
 __all__ = [
     "StopReason",
@@ -90,8 +90,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -104,10 +104,13 @@ class ConvergenceTrace:
     i+1; elapsed[i] the wall-clock seconds that iteration took. The
     symmetry_defect list is filled only by als3_sym (Frobenius distance
     between the two factors that model symmetric modes). diagnostics holds
-    solver-specific counters (rank-deficient solves, redrawn columns, the
-    count and mass of clipped eigenvalues), and "ill_conditioned_solves",
-    the tall solves whose Gram was too ill-conditioned for the
-    singular-basis path and took the thin QR.
+    only the keys whose event happened: "rank_deficient_solves" and
+    "first_rank_deficient_iteration"; "ill_conditioned_solves", the tall
+    solves whose Gram was too ill-conditioned for the singular-basis path
+    and took the thin QR; "redrawn_columns", the dead columns the pcls
+    sweeps redrew; "clipped_count" and "clipped_mass", the negative
+    eigenvalues pcls4_full's set-up clipped; and "scale_guard_iteration",
+    the iteration at which the factor-scale guard stopped the run.
     """
 
     residuals: list[float]
@@ -546,6 +549,40 @@ def pcls4_case2(
         return [a, b, c]
 
     return run.iterate(step, pattern)
+
+
+def qr_orthogonal_factor(p: np.ndarray) -> np.ndarray:
+    """Orthonormal-column Q of the reduced QR of p, diag(R) made nonnegative.
+
+    The sign convention pins the factorization uniquely for full-rank input,
+    so an input that already has orthonormal columns is returned unchanged
+    up to roundoff.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError("qr_orthogonal_factor expects a matrix")
+    if p.shape[0] < p.shape[1]:
+        raise ValueError(f"need rows >= cols, got shape {p.shape}")
+    q, r = np.linalg.qr(p)
+    signs = np.sign(np.diagonal(r)).copy()
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
+def _psd_factor(t: np.ndarray, r: int) -> tuple[np.ndarray, int, float]:
+    """Rank-r factor E of a symmetric n x n t (E E^T ~= t, 1 <= r <= n), with
+    the count and total magnitude of the negative eigenvalues beyond
+    roundoff (below -1e-10 max|w|). Negative eigenvalues are clipped to zero;
+    E's columns are eigenvectors scaled by the square roots of the r largest
+    eigenvalues, descending, so ||t - E E^T||_F^2 is exactly the sum of the
+    squared discarded and clipped eigenvalues."""
+    w, u = np.linalg.eigh(0.5 * (t + t.T))
+    w = w[::-1].copy()
+    u = u[:, ::-1]
+    significant = w < -1e-10 * float(np.max(np.abs(w)))
+    count, mass = int(significant.sum()), float(-w[significant].sum())
+    np.clip(w, 0.0, None, out=w)
+    return u[:, :r] * np.sqrt(w[:r]), count, mass
 
 
 def pcls4_full(

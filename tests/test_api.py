@@ -5,7 +5,7 @@ import pathlib
 import re
 
 import symtensor
-from symtensor import core, harness, io, numerics, solvers
+from symtensor import core, harness, io, solvers
 
 
 def _library_section() -> str:
@@ -18,7 +18,7 @@ def test_all_is_the_union_of_the_submodule_exports():
     names = symtensor.__all__
     assert len(names) == len(set(names))
     expected = {"NUMBA_ENABLED", "__version__"}
-    for module in (core, harness, io, numerics, solvers):
+    for module in (core, harness, io, solvers):
         expected.update(module.__all__)
     assert set(names) == expected
     for name in names:

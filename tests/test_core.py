@@ -219,6 +219,8 @@ def test_model_validation():
         FactorModel(SymmetryPattern.PSYM3, [np.ones((2, 0)), np.ones((3, 0))])
     with pytest.raises(ValueError, match="2-D"):
         FactorModel(SymmetryPattern.PSYM3, [np.ones(2), np.ones((3, 1))])
+    with pytest.raises(ValueError, match=r"needs positive dims, got \(0, 0, 4\)"):
+        FactorModel(SymmetryPattern.PSYM3, [np.zeros((0, 2)), np.ones((4, 2))])
 
 
 def test_model_dims():

@@ -303,6 +303,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(**{**ok, "rank": 0})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "n_seeds": 0})
+    with pytest.raises(ValueError, match="n_seeds must be an integer"):
+        ExperimentSpec(**{**ok, "n_seeds": 1.5})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "init": "warm"})
     for collinearity in (-0.1, 1.0, 1.5):

@@ -1,5 +1,5 @@
-"""The scalar kernels the column sweep runs, and numerics' linear algebra,
-against independent references.
+"""The scalar kernels the column sweep runs, and the QR and PSD factorization
+of pcls4_full, against independent references.
 
 The polynomial oracles here go through numpy's companion-matrix root finder,
 dense grid search and the brute-force objective ||y - v v^T||_F^2, which
@@ -8,9 +8,9 @@ share no code with the closed-form kernels in ``symtensor._kernels``.
 import numpy as np
 import pytest
 
-from symtensor import _kernels, qr_orthogonal_factor
+from symtensor import _kernels
 from symtensor._kernels import cubic_roots, quartic_min
-from symtensor.numerics import _psd_factor
+from symtensor.solvers import _psd_factor, qr_orthogonal_factor
 
 from _oracles import cubic_discriminant, quartic_grid_min
 

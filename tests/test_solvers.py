@@ -702,6 +702,7 @@ def test_wrong_factor_shape_reported():
 def test_solver_config_validation():
     for kwargs in (
         {"max_iters": 0},
+        {"max_iters": 100.0},
         {"tol": 0.0},
         {"tol": -1.0},
     ):
