@@ -181,19 +181,34 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
+def _product_perm(order: int) -> tuple[int, ...]:
+    """Mode order of :func:`_model_product`'s C-ordered product for a tensor
+    of ``order``: (0, 1, 2) at order 3, the square matricization's (0, 2, 1,
+    3) at order 4. Each is its own inverse."""
+    return (0, 1, 2) if order == 3 else (0, 2, 1, 3)
+
+
 def _model_product(model: FactorModel) -> tuple[np.ndarray, tuple[int, ...]]:
     """The model's entries as one GEMM ``L @ R.T`` of two Khatri-Rao halves.
 
-    Order 3 takes L = f0 (.) f1 and R = f2, so the product holds the tensor
-    with modes (0, 1, 2). Order 4 pairs the modes that share a factor in the
-    symmetric patterns, L = f0 (.) f2 and R = f1 (.) f3, so the product is
-    the square matricization, with modes (0, 2, 1, 3). Returns the product
-    and that mode order (a permutation that is its own inverse).
+    Order 3 takes L = f0 (.) f1 and R = f2. Order 4 pairs the modes that
+    share a factor in the symmetric patterns, L = f0 (.) f2 and R = f1 (.)
+    f3, so the product is the square matricization. Returns the product and
+    its mode order, :func:`_product_perm`'s.
     """
     f = [model.factors[i] for i in model.pattern.mode_factors]
-    if model.pattern.order == 3:
-        return khatri_rao(f[0], f[1]) @ f[2].T, (0, 1, 2)
-    return khatri_rao(f[0], f[2]) @ khatri_rao(f[1], f[3]).T, (0, 2, 1, 3)
+    perm = _product_perm(len(f))
+    if len(f) == 3:
+        return khatri_rao(f[0], f[1]) @ f[2].T, perm
+    return khatri_rao(f[0], f[2]) @ khatri_rao(f[1], f[3]).T, perm
+
+
+def _product_layout(x: np.ndarray) -> np.ndarray:
+    """x stored in the memory order of the model's GEMM product, so that
+    :func:`residual_sq` reads it in one contiguous pass. A view of x, with
+    no copy, when x already has that layout (a C-ordered order-3 tensor)."""
+    perm = _product_perm(x.ndim)
+    return np.ascontiguousarray(x.transpose(perm)).transpose(perm)
 
 
 def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.ndarray:
@@ -223,7 +238,13 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
 
     The tensor is subtracted in place from the model's GEMM product, read
     through a transposed view of x, so no full-size temporary is made
-    beyond that product, whatever x's memory order.
+    beyond that product, whatever x's memory order. The value does not
+    depend on that order, but the speed does: the subtraction streams x
+    when x is stored in the product's order (C order at order 3, the square
+    matricization's at order 4) and reads it with a stride otherwise, which
+    on a large F-ordered tensor costs more than the product itself.
+    Callers that take many residuals of one tensor pass
+    :func:`_product_layout`'s copy.
     """
     x = np.asarray(x)
     if x.shape != model.dims:

@@ -141,10 +141,10 @@ class ExperimentSpec:
         _pattern(self.kind).factor_rows(self.dims)
         if self.solvers is None:
             object.__setattr__(self, "solvers", tuple(SOLVERS[self.kind]))
-        for name in ("rank", "n_seeds"):
+        for name, low in (("rank", 1), ("n_seeds", 1), ("base_seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.init not in ("random", "perturbed"):
             raise ValueError(f"init must be 'random' or 'perturbed', got {self.init!r}")
         _check_collinearity(self.collinearity)

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _PER_LINE = 6  # values per line in written files
+_CHUNK_LINES = 1024  # lines formatted by one % operation
 
 
 def _tokens(lines: Iterable[str]) -> Iterator[str]:
@@ -43,15 +44,44 @@ def _tokens(lines: Iterable[str]) -> Iterator[str]:
         yield from body.split()
 
 
-def _format(v: float) -> str:
-    return "%.17g" % v
+def _lines_template(count: int) -> str:
+    """A %-template for ``count`` values, ``_PER_LINE`` per line, each
+    written with 17 significant digits."""
+    full, rest = divmod(count, _PER_LINE)
+    line = " ".join(["%.17g"] * _PER_LINE) + "\n"
+    return line * full + (" ".join(["%.17g"] * rest) + "\n" if rest else "")
 
 
 def _write_values(fh: IO[str], values: np.ndarray) -> None:
+    """Write ``values`` column-major, one % operation per chunk of
+    ``_CHUNK_LINES`` lines, so memory stays bounded by the chunk."""
     flat = values.ravel(order="F")
-    for start in range(0, flat.size, _PER_LINE):
-        fh.write(" ".join(_format(v) for v in flat[start : start + _PER_LINE]))
-        fh.write("\n")
+    step = _PER_LINE * _CHUNK_LINES
+    for start in range(0, flat.size, step):
+        chunk = tuple(flat[start : start + step].tolist())
+        fh.write(_lines_template(len(chunk)) % chunk)
+
+
+def _int(token: str, path) -> int:
+    """A header token (order, size, rank) as an int; ValueError naming the
+    file when it is not one."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}: expected an integer, found {token!r}") from None
+
+
+def _floats(tok: Iterable[str], where: str) -> list[float]:
+    """Every token of ``tok`` as a float; ValueError naming ``where`` and the
+    0-based entry of the first token that is not a number."""
+    values: list[float] = []
+    try:
+        # list.extend keeps what it appended before the failing token, so
+        # the list's length is that token's index.
+        values.extend(map(float, tok))
+    except ValueError as exc:
+        raise ValueError(f"{where}: entry {len(values)} (0-based, column-major): {exc}") from None
+    return values
 
 
 def _finite(flat: np.ndarray, where: str, what: str) -> np.ndarray:
@@ -69,23 +99,25 @@ def _finite(flat: np.ndarray, where: str, what: str) -> np.ndarray:
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
     """Parse a tensor text file into a float64 array.
 
-    Raises ValueError on a malformed header, a wrong value count, or a NaN
-    or infinite entry (including tokens such as ``1e400`` that overflow).
+    Raises ValueError on a malformed header, a token that is not a number,
+    a wrong value count, or a NaN or infinite entry (including tokens such
+    as ``1e400`` that overflow); the message names the file, and the 0-based
+    entry of a bad value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tok = _tokens(fh)
         try:
-            order = int(next(tok))
+            order = _int(next(tok), path)
         except StopIteration:
             raise ValueError(f"{path}: empty tensor file") from None
         if order not in SUPPORTED_ORDERS:
             raise ValueError(f"{path}: unsupported tensor order {order}")
-        dims = tuple(int(t) for t in itertools.islice(tok, order))
+        dims = tuple(_int(t, path) for t in itertools.islice(tok, order))
         if len(dims) < order:
             raise ValueError(f"{path}: header ended before {order} dimensions")
         if any(d < 1 for d in dims):
             raise ValueError(f"{path}: dimensions must be positive, got {dims}")
-        values = [float(t) for t in tok]
+        values = _floats(tok, str(path))
     count = int(np.prod(dims))
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} values for dims {dims}, found {len(values)}")
@@ -106,7 +138,8 @@ def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:
 
 
 def read_model(path: str | os.PathLike) -> FactorModel:
-    """Parse a factor model text file; a NaN or infinite entry raises ValueError."""
+    """Parse a factor model text file; a malformed file, or a factor entry
+    that is not a number or not finite, raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         tok = _tokens(fh)
         try:
@@ -119,18 +152,21 @@ def read_model(path: str | os.PathLike) -> FactorModel:
             known = ", ".join(p.value for p in SymmetryPattern)
             raise ValueError(f"{path}: unknown pattern {name!r} (known: {known})") from None
         try:
-            rank = int(next(tok))
+            rank = _int(next(tok), path)
             if rank < 1:
                 raise ValueError(f"{path}: rank must be positive, got {rank}")
             factors = []
             for i in range(pattern.n_factors):
-                rows, cols = int(next(tok)), int(next(tok))
+                rows, cols = _int(next(tok), path), _int(next(tok), path)
                 if rows < 1:
                     raise ValueError(f"{path}: factor {i} rows must be positive, got {rows}")
                 if cols != rank:
                     raise ValueError(f"{path}: factor has {cols} columns, rank is {rank}")
-                data = np.array([float(next(tok)) for _ in range(rows * cols)], dtype=np.float64)
-                data = _finite(data, f"{path}: factor {i}", "factor")
+                where = f"{path}: factor {i}"
+                data = np.array(_floats(itertools.islice(tok, rows * cols), where))
+                if data.size < rows * cols:
+                    raise ValueError(f"{path}: model file ended early")
+                data = _finite(data, where, "factor")
                 factors.append(data.reshape(rows, cols, order="F"))
         except StopIteration:
             raise ValueError(f"{path}: model file ended early") from None

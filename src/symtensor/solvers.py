@@ -34,6 +34,7 @@ from . import _kernels
 from .core import (
     FactorModel,
     SymmetryPattern,
+    _product_layout,
     khatri_rao,
     mode_n_matricize,
     residual_sq,
@@ -94,6 +95,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -191,9 +194,12 @@ class _Run:
     symmetry itself when ``symmetric`` (the pcls preconditions), and
     copies one starting factor per label, rejecting non-finite ones and ones
     with an entry beyond ``_SCALE_LIMIT``, which no refit could recover
-    from. ``lstsq`` and ``_solve`` count rank-deficient solves, ``sweep``
-    refits factor columns, and ``iterate`` runs a solver's ``step`` until a
-    stop.
+    from. ``x`` is the tensor the steps matricize, in the caller's memory
+    order; ``residual_x`` is the same tensor stored in the memory order of
+    the model product (:func:`core._product_layout`: a view when x already
+    has it, else one copy), and only :func:`residual_sq` reads it.
+    ``lstsq`` and ``_solve`` count rank-deficient solves, ``sweep`` refits
+    factor columns, and ``iterate`` runs a solver's ``step`` until a stop.
     """
 
     def __init__(self, name, x, r, init, cfg, pattern, shape, labels, symmetric=False):
@@ -235,6 +241,7 @@ class _Run:
                     f"beyond the scale limit {_SCALE_LIMIT:g}"
                 )
             self.factors.append(a)
+        self.residual_x = _product_layout(x)
         self.diag: dict = {}
         self.residuals: list[float] = []
         self.elapsed: list[float] = []
@@ -324,7 +331,7 @@ class _Run:
         for _ in range(self.cfg.max_iters):
             t0 = time.perf_counter()
             factors = step()
-            self.residuals.append(residual_sq(self.x, FactorModel(pattern, factors)))
+            self.residuals.append(residual_sq(self.residual_x, FactorModel(pattern, factors)))
             stop = self._stop(factors)
             self.elapsed.append(time.perf_counter() - t0)
             if stop is not None:

@@ -20,7 +20,8 @@ change keeps every value, not a test gate. tests/golden_runs.json is the
 reference for the current tree.
 
 The cases: the benchmark's problems at seeds 1 and 2 at the benchmark's
-iteration budgets; every ``SOLVERS`` solver plus als3 from random and
+iteration budgets, both in memory as generated (C order) and read back from
+a tensor file as the benchmark reads them (F order); every ``SOLVERS`` solver plus als3 from random and
 perturbed starts on small problems of each kind; starting factors scaled far
 below the normal range; and the scalar kernels and the pcls4_full set-up on
 random inputs.
@@ -101,15 +102,24 @@ def _solve(st, solver, x, rank, init, max_iters, tol=1e-10) -> dict:
 
 
 def _benchmark_cases(st):
+    """Each benchmark problem twice: as generated, in C order ("bench/"), and
+    read back from a tensor file, in F order, as the benchmark feeds it
+    ("bench-file/")."""
+    import tempfile
+
     from problems import MAX_ITERS, TOL, WORKLOADS, make_problems
 
-    for w in WORKLOADS.values():
-        for seed in (1, 2):
-            for p in make_problems(w, seed):
-                for family, solver in zip(("pcls", "als"), w.solvers):
-                    init = _init(solver, [f.copy() for f in p.start])
-                    name = f"bench/{w.name}/seed{seed}/problem{p.index}/{solver}"
-                    yield name, _solve(st, solver, p.tensor, w.rank, init, MAX_ITERS[family], TOL)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.tns")
+        for w in WORKLOADS.values():
+            for seed in (1, 2):
+                for p in make_problems(w, seed):
+                    st.write_tensor(path, p.tensor)
+                    for kind, x in (("bench", p.tensor), ("bench-file", st.read_tensor(path))):
+                        for family, solver in zip(("pcls", "als"), w.solvers):
+                            init = _init(solver, [f.copy() for f in p.start])
+                            name = f"{kind}/{w.name}/seed{seed}/problem{p.index}/{solver}"
+                            yield name, _solve(st, solver, x, w.rank, init, MAX_ITERS[family], TOL)
 
 
 def _small_cases(st):

@@ -19,6 +19,8 @@ from symtensor import (
     symmetry_defect,
 )
 
+from symtensor.core import _product_layout
+
 from _oracles import (
     khatri_rao_oracle,
     reconstruct_oracle,
@@ -197,6 +199,25 @@ def test_residual_sq_matches_outer_product_oracle(pattern, rows, layout):
         x = np.ascontiguousarray(x.transpose(perm)).transpose(perm)
         assert not (x.flags.c_contiguous or x.flags.f_contiguous)
     assert residual_sq(x, model) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pattern,rows", [(SymmetryPattern.GENERAL3, (6, 7, 8)), (SymmetryPattern.PSYM4_CASE2, (5, 6, 4))]
+)
+def test_residual_sq_bit_equal_across_layouts(pattern, rows):
+    """The memory order of x changes how fast the residual reads it, never
+    the value: C, F and product-layout copies give the same float."""
+    rng = np.random.default_rng(17)
+    model = FactorModel(pattern, [rng.standard_normal((n, 4)) for n in rows])
+    x = reconstruct(model) + rng.standard_normal(model.dims)
+    copies = [np.ascontiguousarray(x), np.asfortranarray(x), _product_layout(x)]
+    perm = (0, 1, 2) if x.ndim == 3 else (0, 2, 1, 3)
+    assert copies[2].transpose(perm).flags.c_contiguous
+    if x.ndim == 4:
+        assert not (copies[2].flags.c_contiguous or copies[2].flags.f_contiguous)
+    values = [residual_sq(y, model) for y in copies]
+    assert values[0] > 0.0
+    assert values == [values[0]] * 3
 
 
 def test_reconstruct_zero_column_contributes_nothing():

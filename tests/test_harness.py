@@ -305,6 +305,9 @@ def test_experiment_spec_validation():
         ExperimentSpec(**{**ok, "n_seeds": 0})
     with pytest.raises(ValueError, match="n_seeds must be an integer"):
         ExperimentSpec(**{**ok, "n_seeds": 1.5})
+    for base_seed in (1.5, -1):
+        with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
+            ExperimentSpec(**{**ok, "base_seed": base_seed})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "init": "warm"})
     for collinearity in (-0.1, 1.0, 1.5):

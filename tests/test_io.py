@@ -65,6 +65,21 @@ def test_tensor_rejects_non_finite_entries(tmp_path, body, index, value):
     assert f" is {value};" in msg
 
 
+def test_tensor_rejects_malformed_number(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("3 2 2 1\n1 2 abc 4\n")
+    with pytest.raises(ValueError) as info:
+        read_tensor(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: entry 2 (0-based, column-major)")
+    assert "'abc'" in msg
+    for header in ("x 2 2 1", "3 2 2.0 1"):
+        path.write_text(header + "\n1 2 3 4\n")
+        with pytest.raises(ValueError, match="expected an integer, found") as info:
+            read_tensor(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 def test_tensor_rejects_empty(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# nothing here\n")
@@ -117,9 +132,10 @@ def test_model_rejects_unknown_pattern(tmp_path):
 
 def test_model_rejects_truncated(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("psym3 2\n2 2\n1 2 3 4\n")
-    with pytest.raises(ValueError, match="ended early"):
-        read_model(path)
+    for text in ("psym3 2\n2 2\n1 2 3 4\n", "psym3 2\n2 2\n1 2\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="ended early"):
+            read_model(path)
     path.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="empty model file"):
         read_model(path)
@@ -168,3 +184,24 @@ def test_model_rejects_non_finite_entries(tmp_path, text, factor, index, value):
     msg = str(info.value)
     assert msg.startswith(f"{path}: factor {factor}: entry {index} ")
     assert f" is {value};" in msg
+
+
+@pytest.mark.parametrize(
+    "text,factor,index,token",
+    [("psym3 1\n2 1\n1 abc\n1 1\n3\n", 0, 1, "abc"),
+     ("psym3 1\n2 1\n1 2\n1 1\n3x\n", 1, 0, "3x")],
+    ids=["first-factor", "second-factor"],
+)
+def test_model_rejects_malformed_number(tmp_path, text, factor, index, token):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: factor {factor}: entry {index} (0-based, column-major)")
+    assert repr(token) in msg
+    for header in ("psym3 one\n2 1\n", "psym3 1\n2 y\n"):
+        path.write_text(header + "1 2\n1 1\n3\n")
+        with pytest.raises(ValueError, match="expected an integer, found") as info:
+            read_model(path)
+        assert str(info.value).startswith(f"{path}: ")

@@ -519,6 +519,47 @@ def _solve_run(**cfg):
 
 
 @pytest.mark.parametrize(
+    "pattern,dims,solver,labels,perm",
+    [(SymmetryPattern.PSYM3, (4, 4, 3), "als3_sym", "AC", (0, 1, 2)),
+     (SymmetryPattern.FSYM4, (3, 3, 3, 3), "als4_sym", "A", (0, 2, 1, 3))],
+)
+def test_run_residual_operand_has_the_product_layout(pattern, dims, solver, labels, perm):
+    """``_Run.residual_x`` holds x in the model product's memory order: x
+    itself, viewed, when x already has that order, else one copy."""
+    x, model = make_problem(pattern, dims, 2, seed=0)
+    product = np.ascontiguousarray(x.transpose(perm)).transpose(perm)
+    for y in (x, np.asfortranarray(x), product):
+        run = solvers._Run(
+            solver, y, 2, [f.copy() for f in model.factors], None, pattern, "", labels
+        )
+        assert run.x is y
+        assert np.array_equal(run.residual_x, y)
+        assert run.residual_x.transpose(perm).flags.c_contiguous
+        has_layout = y.transpose(perm).flags.c_contiguous
+        assert np.shares_memory(run.residual_x, y) == has_layout
+
+
+@pytest.mark.parametrize(
+    "solver,kind,dims,rank",
+    [(als3_sym, "psym3", (7, 7, 6), 3), (als4_sym, "fsym4", (5, 5, 5, 5), 3),
+     (pcls4_full, "fsym4", (5, 5, 5, 5), 3)],
+    ids=["als3_sym", "als4_sym", "pcls4_full"],
+)
+def test_solver_bit_equal_on_c_and_f_layouts(solver, kind, dims, rank):
+    """The input's memory order does not change a solver's values: C and F
+    copies of one tensor give bit-equal factors and residuals."""
+    x, truth = generate_problem(kind, dims, rank, np.random.default_rng(4), 0.5)
+    init = initialize([f.shape for f in truth.factors], np.random.default_rng(5), truth, 0.3)
+    init = init[0] if kind == "fsym4" else init
+    cfg = SolverConfig(max_iters=40)
+    runs = [solver(y, rank, init, cfg) for y in (np.ascontiguousarray(x), np.asfortranarray(x))]
+    (m0, t0), (m1, t1) = runs
+    assert t0.residuals == t1.residuals
+    for f0, f1 in zip(m0.factors, m1.factors):
+        np.testing.assert_array_equal(f0, f1)
+
+
+@pytest.mark.parametrize(
     "build,gram,rank,tol",
     [
         (lambda rng: _with_spectrum(rng, 300, np.logspace(0, -3, 17)), True, 17, 1e-9),
@@ -708,6 +749,10 @@ def test_solver_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+    for seed in (1.5, -1, "1", None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.int64(3)).seed == 3
 
 
 def test_trace_validation():
