@@ -1,13 +1,16 @@
 """Scalar hot loops: real cubic roots, quartic minimization, coordinate sweeps.
 
-Written as plain Python over scalars and lists, whose scalar reads cost a
-fraction of numpy's. The pcls solvers call ``coordinate_sweep``, one cyclic
-pass over the coordinates, once per live factor column; ``cubic_roots`` and
-``quartic_min`` are the scalar layer beneath it. The bits matter:
-random-start pcls runs are chaotic, and a sweep that differs only at
-roundoff (a BLAS dot for the sums, say) changes their iteration counts and
-can fail the acceptance gates. :func:`coordinate_sweep` says why its
-shortcuts keep every bit of the plain per-coordinate ``quartic_min`` loop.
+Written as plain Python over floats, whose scalar reads cost a fraction of
+numpy's. A sweep updates a list in place and reads its targets from a flat
+sequence: a list, or a ``memoryview`` of a float64 buffer, which makes each
+float only as the loop reads it. The pcls solvers call ``coordinate_sweep``,
+one cyclic pass over the coordinates, once per live factor column;
+``cubic_roots`` and ``quartic_min`` are the scalar layer beneath it. The
+bits matter: random-start pcls runs are chaotic, and a sweep that differs
+only at roundoff (a BLAS dot for the sums, say) changes their iteration
+counts and can fail the acceptance gates. :func:`coordinate_sweep` says why
+its shortcuts keep every bit of the plain per-coordinate ``quartic_min``
+loop.
 """
 from __future__ import annotations
 
@@ -115,14 +118,19 @@ def quartic_min(c4: float, c3: float, c2: float, c1: float, c0: float):
     return best_x, best_v
 
 
-def coordinate_sweep(v: list, t: list) -> None:
+def coordinate_sweep(v: list, t) -> None:
     """One cyclic pass of exact coordinate minimization of ||y - v v^T||_F^2
-    over the list ``v``, in place, given the rows ``t[i][j] = y[i, j] +
-    y[j, i]``.
+    over the list ``v`` of length n, in place, given the flat row-major n x n
+    sequence ``t[i * n + j] = y[i, j] + y[j, i]``.
 
     Each coordinate update holds the others fixed; the objective restricted
     to v[i] is a quartic with unit leading coefficient, minimized exactly.
     The constant term is irrelevant to the argmin and is passed as zero.
+
+    One iterator walks ``t`` for the whole pass, and coordinate i's fold
+    ``zip(v, it)`` takes row i from it. ``v`` leads the ``zip``: when the
+    fold ends, ``zip`` finds ``v`` exhausted before it asks ``it`` for
+    another value, so no value of the next row is read and lost.
 
     Setting ``v[i] = 0.0`` before folding coordinate i's sums over the whole
     row drops the j != i test without changing a bit: the fold adds +0.0 to
@@ -135,14 +143,16 @@ def coordinate_sweep(v: list, t: list) -> None:
     reaches the root (s > 0, and x is never -0.0), so the root is
     ``cubic_roots``' own. The other cases call ``quartic_min``.
     """
-    for i, ti in enumerate(t):
+    n = len(v)
+    it = iter(t)
+    for i in range(n):
         v[i] = 0.0
         s2 = 0.0
         s1 = 0.0
-        for tij, aj in zip(ti, v):
+        for aj, tij in zip(v, it):
             s2 += aj * aj
             s1 += tij * aj
-        c2 = 2.0 * s2 - ti[i]  # ti[i] = 2 y[i, i]
+        c2 = 2.0 * s2 - t[i * n + i]  # t[i * n + i] = 2 y[i, i]
         c1 = -2.0 * s1
         q = 0.5 * c2
         r = 0.25 * c1

@@ -10,13 +10,15 @@ Each solver is its own set-up plus a ``step()`` that performs one outer
 iteration and returns the model's factors. One private object per call,
 :class:`_Run`, checks the input and the starting factors and owns what
 every step shares: the counted least-squares solve (:meth:`_Run._solve`),
-the column sweep (:meth:`_Run.sweep`) and the loop with its stopping rules
-(:meth:`_Run.iterate`). The pcls solves and the als refits (:func:`_als`)
-trust a Gram matrix by one rule, :func:`_factor_gram`'s. ``_Run`` and the
-steps call the core functions and :func:`qr_orthogonal_factor` through this
-module's globals, and ``np.linalg.lstsq`` and ``_kernels.coordinate_sweep``
-as module attributes, so rebinding one of those names times or replaces
-that layer for every solver.
+the column sweep (:meth:`_Run.sweep`, which hands the scalar kernel each
+column's symmetrized targets as a view of one flat float64 buffer) and the
+loop with its stopping rules (:meth:`_Run.iterate`). The pcls solves and the
+als refits (:func:`_als`) trust a Gram matrix by one rule,
+:func:`_factor_gram`'s. ``_Run`` and the steps call the core functions and
+:func:`qr_orthogonal_factor` through this module's globals, and
+``np.linalg.lstsq`` and ``_kernels.coordinate_sweep`` as module attributes,
+so rebinding one of those names times or replaces that layer for every
+solver.
 """
 from __future__ import annotations
 
@@ -56,6 +58,9 @@ __all__ = [
     "pcls4_full",
 ]
 
+# pcls's symmetry precondition, relative to the tensor's largest |entry| so
+# that it means the same at every scale: roundoff in a 1e6-scaled tensor
+# passes, a 1e-3 relative asymmetry in a 1e-6-scaled one does not.
 _SYM_PRE_TOL = 1e-8
 _DEAD_COLUMN_REL = 1e-14
 # ``_Run.lstsq`` solves a tall system from its Gram only above this eigenvalue
@@ -191,7 +196,8 @@ class _Run:
     The constructor checks the tensor's shape against ``pattern`` (the
     pattern whose factor rows the starting factors have), rejects
     non-finite entries and a squared norm that overflows, checks the
-    symmetry itself when ``symmetric`` (the pcls preconditions), and
+    symmetry itself when ``symmetric`` (the pcls precondition: a symmetry
+    defect of at most ``_SYM_PRE_TOL`` times the largest |entry|), and
     copies one starting factor per label, rejecting non-finite ones and ones
     with an entry beyond ``_SCALE_LIMIT``, which no refit could recover
     from. ``x`` is the tensor the steps matricize, in the caller's memory
@@ -218,10 +224,13 @@ class _Run:
                 "input tensor's squared Frobenius norm overflows float64 "
                 f"(largest |entry| {float(np.abs(x).max()):.3g})"
             )
-        if symmetric and not symmetry_check(x, pattern, _SYM_PRE_TOL):
-            raise ValueError(
-                f"input tensor is not {pattern.value}-symmetric within {_SYM_PRE_TOL:g}"
-            )
+        if symmetric:
+            big = float(np.abs(x).max())
+            if not symmetry_check(x, pattern, _SYM_PRE_TOL * big):
+                raise ValueError(
+                    f"input tensor is not {pattern.value}-symmetric within {_SYM_PRE_TOL:g} "
+                    f"times its largest |entry| ({big:.3g})"
+                )
         if r < 1:
             raise ValueError("rank must be >= 1")
         if len(init) != len(labels):
@@ -303,24 +312,26 @@ class _Run:
         """Update every column of ``a`` in place by coordinate minimization.
 
         Column r fits the unvec of g[:, r] as an outer product a_r a_r^T.
-        All R columns are symmetrized and converted to Python lists in one
-        pass, and ``_kernels.coordinate_sweep`` runs once per live column on
-        its list; ``a`` is written back once. Numerically dead columns of g
-        cannot steer their summand, so the matching column of a is redrawn
-        from a standard normal instead, in column order.
+        All R target blocks are symmetrized by one ``np.add`` into one
+        C-ordered float64 buffer, and ``_kernels.coordinate_sweep`` runs
+        once per live column on a ``memoryview`` of that column's flat n*n
+        block, so each target float is made as the kernel reads it; ``a``
+        is written back once. Numerically dead columns of g cannot steer
+        their summand, so the matching column of a is redrawn from a
+        standard normal instead, in column order.
         """
         n, rank = a.shape
         floor = _DEAD_COLUMN_REL * float(np.linalg.norm(g))
         norms = np.linalg.norm(g, axis=0)
-        g3 = g.reshape(n, n, rank, order="F")
-        rows = (g3 + g3.transpose(1, 0, 2)).transpose(2, 0, 1).tolist()
+        h = g.T.reshape(rank, n, n)  # h[r, j, i] = g[i + j n, r]
+        targets = memoryview(np.add(h, h.transpose(0, 2, 1), order="C").reshape(-1))
         cols = a.T.tolist()
         for r in range(rank):
             if norms[r] <= floor:
                 cols[r] = self.rng.standard_normal(n)
                 self.diag["redrawn_columns"] = self.diag.get("redrawn_columns", 0) + 1
             else:
-                _kernels.coordinate_sweep(cols[r], rows[r])
+                _kernels.coordinate_sweep(cols[r], targets[r * n * n : (r + 1) * n * n])
         a[:] = np.transpose(cols)
 
     def iterate(self, step, pattern: SymmetryPattern, defects: list[float] | None = None):

@@ -23,8 +23,9 @@ The cases: the benchmark's problems at seeds 1 and 2 at the benchmark's
 iteration budgets, both in memory as generated (C order) and read back from
 a tensor file as the benchmark reads them (F order); every ``SOLVERS`` solver plus als3 from random and
 perturbed starts on small problems of each kind; starting factors scaled far
-below the normal range; and the scalar kernels and the pcls4_full set-up on
-random inputs.
+below the normal range; the scalar kernels and the pcls4_full set-up on
+random inputs; and one two-seed ``run_experiment`` of both psym3 solvers,
+which covers its derivation of each seed's problem, start and redraw seed.
 """
 from __future__ import annotations
 
@@ -150,6 +151,22 @@ def _edge_cases(st):
         yield f"edge/{solver}/{scale:g}", _solve(st, solver, x, rank, init, EDGE_MAX_ITERS)
 
 
+def _experiment_cases(st):
+    """One small ``run_experiment``, to cover its per-seed derivation of the
+    problems, the shared starts and the redraw seeds."""
+    spec = st.ExperimentSpec(
+        kind="psym3", dims=(5, 5, 4), rank=2, n_seeds=2, base_seed=7,
+        config=st.SolverConfig(max_iters=SMALL_MAX_ITERS),
+    )
+    for rec in st.run_experiment(spec).runs:
+        yield f"experiment/psym3/seed{rec.seed_index}/{rec.solver}", {
+            "iterations": rec.iterations,
+            "stop": rec.stop_reason,
+            "final_residual": rec.final_residual,
+            "values": _digest([[rec.final_residual]]),
+        }
+
+
 def _kernel_cases(st):
     import numpy as np
 
@@ -174,7 +191,7 @@ def write(path: str) -> None:
     import symtensor as st
 
     runs = {}
-    for cases in (_kernel_cases, _small_cases, _edge_cases, _benchmark_cases):
+    for cases in (_kernel_cases, _small_cases, _edge_cases, _experiment_cases, _benchmark_cases):
         for name, result in cases(st):
             runs[name] = result
             print(name, result.get("stop", result.get("error", "")), file=sys.stderr)

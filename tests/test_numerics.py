@@ -230,7 +230,7 @@ def test_sweep_against_roots_oracle():
         expect[i] = roots_oracle_quartic_min(np.array([1.0, 0.0, c2, c1, 0.0]))[0]
 
     got = a0.tolist()
-    _kernels.coordinate_sweep(got, (y + y.T).tolist())
+    _kernels.coordinate_sweep(got, (y + y.T).ravel().tolist())
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
 
 
@@ -243,7 +243,7 @@ def test_sweep_last_coordinate_minimizes_objective():
     # y = [2, 3] [2, 3]^T from [0, 3]: the first coordinate minimizes
     # x^4 + 10 x^2 - 72 x + 88, at 2, and the second then lands back on 3
     known = [0.0, 3.0]
-    _kernels.coordinate_sweep(known, [[8.0, 12.0], [12.0, 18.0]])
+    _kernels.coordinate_sweep(known, [8.0, 12.0, 12.0, 18.0])
     np.testing.assert_allclose(known, [2.0, 3.0], rtol=1e-12)
 
     rng = np.random.default_rng(103)
@@ -251,7 +251,7 @@ def test_sweep_last_coordinate_minimizes_objective():
         for scale in (1e-2, 1.0, 1e2):
             y = scale**2 * rng.standard_normal((n, n))
             v = (scale * rng.standard_normal(n)).tolist()
-            _kernels.coordinate_sweep(v, (y + y.T).tolist())
+            _kernels.coordinate_sweep(v, (y + y.T).ravel().tolist())
 
             def objective(s):
                 z = np.array(v)
@@ -285,7 +285,9 @@ def _sweep_cases(rng):
 def test_sweep_bitwise_equals_array_loop(monkeypatch):
     """The list sweep does the array loop's arithmetic in its order, bit for
     bit, in the inline one-root case and in the cases it hands to
-    ``quartic_min`` (three distinct roots, and roots merged into fewer)."""
+    ``quartic_min`` (three distinct roots, and roots merged into fewer),
+    whether its flat targets come as a list or as a ``memoryview`` of a
+    float64 array (the form ``_Run.sweep`` passes)."""
     from _oracles import sweep_array_loop
 
     plain_min, plain_roots = _kernels.quartic_min, _kernels.cubic_roots
@@ -303,14 +305,16 @@ def test_sweep_bitwise_equals_array_loop(monkeypatch):
     rng = np.random.default_rng(110)
     for a0, y, sweeps in _sweep_cases(rng):
         expect = sweep_array_loop(a0, y, sweeps)
-        with monkeypatch.context() as m:
-            m.setattr(_kernels, "quartic_min", counted_min)
-            m.setattr(_kernels, "cubic_roots", counted_roots)
-            got, t = a0.tolist(), (y + y.T).tolist()
-            for _ in range(sweeps):
-                _kernels.coordinate_sweep(got, t)
-        assert np.array_equal(got, expect)
-        assert np.array(got).tobytes() == expect.tobytes()  # signed zeros too
+        flat = (y + y.T).ravel()
+        for t in (flat.tolist(), memoryview(flat)):
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "quartic_min", counted_min)
+                m.setattr(_kernels, "cubic_roots", counted_roots)
+                got = a0.tolist()
+                for _ in range(sweeps):
+                    _kernels.coordinate_sweep(got, t)
+            assert np.array_equal(got, expect)
+            assert np.array(got).tobytes() == expect.tobytes()  # signed zeros too
     assert len(delegated) == len(root_counts) > 0
     assert 3 in root_counts
     assert {1, 2} & set(root_counts)

@@ -37,6 +37,7 @@ from symtensor import (
     reconstruct,
     residual_sq,
     symmetry_check,
+    symmetry_defect,
 )
 
 
@@ -335,11 +336,12 @@ def test_pcls4_full_reports_clipped_mass():
 
 
 def test_pcls4_full_accepts_what_its_symmetry_precondition_accepts():
-    """The 1e-8 entrywise precondition is the only symmetry rule: an input it
-    accepts is not refused later by the set-up's factorization."""
+    """The entrywise precondition (1e-8 of max|x|) is the only symmetry rule:
+    an input it accepts is not refused later by the set-up's factorization."""
     x, truth = generate_problem("fsym4", (3, 3, 3, 3), 2, np.random.default_rng(0))
-    x[0, 1, 0, 2] += 5e-9
-    assert symmetry_check(x, SymmetryPattern.FSYM4, 1e-8)
+    big = np.abs(x).max()
+    x[0, 1, 0, 2] += 5e-9 * big
+    assert symmetry_check(x, SymmetryPattern.FSYM4, 1e-8 * big)
     _, trace = pcls4_full(x, 2, truth.factors[0].copy(), SolverConfig(max_iters=50))
     assert trace.stop_reason is StopReason.CONVERGED
 
@@ -356,28 +358,31 @@ def test_pcls3_redraws_dead_columns():
 
 
 def test_column_sweep_matches_per_column_reference():
-    """``_Run.sweep`` converts all columns at once and writes ``a`` back once,
-    yet its factor equals, bit for bit, a column-by-column sweep over numpy
-    arrays; the two dead columns are redrawn from the seed's first two
-    standard normal draws, in column order."""
+    """``_Run.sweep`` symmetrizes all columns at once and writes ``a`` back
+    once, yet its factor equals, bit for bit, a column-by-column sweep over
+    numpy arrays, for an F-ordered g (pcls3 and the pcls4 cases pass a
+    transposed solve) and a C-ordered one (pcls4_full's ``e @ q.T``); the
+    two dead columns are redrawn from the seed's first two standard normal
+    draws, in column order."""
     from _oracles import column_sweep_oracle
 
     n, r, seed = 9, 6, 5
     rng = np.random.default_rng(31)
     a = rng.standard_normal((n, r))
-    g = rng.standard_normal((r, n * n)).T  # F-ordered, as the solvers pass it
-    g[:, [1, 4]] = 0.0
-    run = _solve_run(seed=seed)
-    expect, redrawn = column_sweep_oracle(
-        a, g, np.random.default_rng(seed), solvers._DEAD_COLUMN_REL
-    )
-    got = a.copy()
-    run.sweep(got, g)
-    assert np.array_equal(got, expect)
-    assert redrawn == run.diag["redrawn_columns"] == 2
-    draws = np.random.default_rng(seed)
-    assert np.array_equal(got[:, 1], draws.standard_normal(n))
-    assert np.array_equal(got[:, 4], draws.standard_normal(n))
+    g_f = rng.standard_normal((r, n * n)).T
+    g_f[:, [1, 4]] = 0.0
+    for g in (g_f, np.ascontiguousarray(g_f)):
+        run = _solve_run(seed=seed)
+        expect, redrawn = column_sweep_oracle(
+            a, g, np.random.default_rng(seed), solvers._DEAD_COLUMN_REL
+        )
+        got = a.copy()
+        run.sweep(got, g)
+        assert np.array_equal(got, expect)
+        assert redrawn == run.diag["redrawn_columns"] == 2
+        draws = np.random.default_rng(seed)
+        assert np.array_equal(got[:, 1], draws.standard_normal(n))
+        assert np.array_equal(got[:, 4], draws.standard_normal(n))
 
 
 # --------------------------------------------------------------------- #
@@ -682,6 +687,26 @@ def test_pcls_rejects_asymmetric_input():
     init = [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))]
     with pytest.raises(ValueError, match="symmetric"):
         pcls3(x, 2, init)
+    # the rule is relative to max|x|: a 1e-3 relative asymmetry is refused
+    # in a 1e-6-scaled tensor, where it is far below 1e-8 in absolute terms
+    x, model = make_problem(SymmetryPattern.PSYM3, (4, 4, 3), 2, seed=34)
+    x = 1e-6 * x
+    x[0, 1, 0] += 1e-3 * np.abs(x).max()
+    assert symmetry_defect(x, SymmetryPattern.PSYM3) < 1e-8
+    with pytest.raises(ValueError, match=r"not psym3-symmetric within 1e-08 times its largest \|entry\|"):
+        pcls3(x, 2, [m.copy() for m in model.factors])
+
+
+def test_pcls_accepts_roundoff_asymmetry_at_large_scale():
+    """The symmetry rule is relative to max|x|: a roundoff-level asymmetry
+    (3e-15 of max|x|) in a 1e6-scaled tensor passes, though it is far above
+    1e-8 in absolute terms."""
+    x, model = make_problem(SymmetryPattern.FSYM4, (4, 4, 4, 4), 2, seed=33)
+    x = 1e6 * x
+    x[0, 1, 2, 3] += 3e-15 * np.abs(x).max()
+    assert symmetry_defect(x, SymmetryPattern.FSYM4) > 1e-8
+    _, trace = pcls4_full(x, 2, model.factors[0], SolverConfig(max_iters=2))
+    assert trace.iterations >= 1
 
 
 def test_shape_preconditions():
