@@ -263,8 +263,11 @@ def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:
     defect NaN, so :func:`symmetry_check` rejects the tensor.
     """
     x = np.asarray(x)
+    diffs = []
     with np.errstate(invalid="ignore"):
-        diffs = [np.max(np.abs(x.transpose(perm) - x)) for perm in pattern.permutations]
+        for perm in pattern.permutations:
+            d = x.transpose(perm) - x
+            diffs.append(np.max(np.abs(d, out=d)))  # in place: one temporary per permutation
     return float(np.max(diffs, initial=0.0))
 
 

@@ -10,6 +10,12 @@ Column-major means the first index varies fastest, matching the flat vector
 convention used by the solvers. Values are written with 17 significant
 digits so a write/read round trip is bit exact.
 
+The readers take whole lines about ``_READ_BYTES`` characters at a time (a
+longer line is one chunk) and parse each value with Python's ``float``
+straight into a preallocated float64 array, so reading needs about the
+output array plus one chunk of memory, and the accepted numbers are exactly
+those ``float`` accepts.
+
 Model file layout::
 
     psym3 2          <- pattern name, rank
@@ -20,8 +26,10 @@ Model file layout::
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from typing import IO, Iterable, Iterator
+import stat
+from typing import IO
 
 import numpy as np
 
@@ -36,12 +44,7 @@ __all__ = [
 
 _PER_LINE = 6  # values per line in written files
 _CHUNK_LINES = 1024  # lines formatted by one % operation
-
-
-def _tokens(lines: Iterable[str]) -> Iterator[str]:
-    for line in lines:
-        body = line.split("#", 1)[0]
-        yield from body.split()
+_READ_BYTES = 1 << 16  # about this many characters of whole lines read per chunk
 
 
 def _lines_template(count: int) -> str:
@@ -71,24 +74,92 @@ def _int(token: str, path) -> int:
         raise ValueError(f"{path}: expected an integer, found {token!r}") from None
 
 
-def _floats(tok: Iterable[str], where: str) -> list[float]:
-    """Every token of ``tok`` as a float; ValueError naming ``where`` and the
-    0-based entry of the first token that is not a number."""
-    values: list[float] = []
+def _float(token: str, entry: int, where: str) -> float:
+    """``float(token)``; ValueError naming ``where`` and the 0-based
+    ``entry`` when the token is not a number."""
     try:
-        # list.extend keeps what it appended before the failing token, so
-        # the list's length is that token's index.
-        values.extend(map(float, tok))
+        return float(token)
     except ValueError as exc:
-        raise ValueError(f"{where}: entry {len(values)} (0-based, column-major): {exc}") from None
-    return values
+        raise ValueError(f"{where}: entry {entry} (0-based, column-major): {exc}") from None
+
+
+def _floats(toks: list[str], first: int, where: str) -> np.ndarray:
+    """``toks`` parsed by ``float`` into a float64 array; a token that is
+    not a number raises as :func:`_float` does, as entry ``first`` + its
+    index."""
+    try:
+        return np.fromiter(map(float, toks), np.float64, len(toks))
+    except ValueError:
+        for j, t in enumerate(toks):
+            _float(t, first + j, where)
+        raise
+
+
+class _Tokens:
+    """The whitespace-separated tokens of an open text file, comments
+    stripped, read ``_READ_BYTES`` of whole lines at a time.
+
+    Header tokens come one at a time from ``next``; a block of values comes
+    from :meth:`floats` straight into a preallocated float64 array, so
+    memory stays about the values plus one chunk.
+    """
+
+    def __init__(self, fh: IO[str]):
+        self._fh = fh
+        self._toks: list[str] = []
+        self._pos = 0
+        # A regular file of s bytes holds at most s // 2 + 1 tokens, so a
+        # header that claims more values is refused by its count instead of
+        # by a failed allocation.
+        st = os.fstat(fh.fileno())
+        self._cap = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else math.inf
+
+    def _more(self) -> bool:
+        """True once a token is ready, loading chunks as needed; False at the
+        end of the file."""
+        while self._pos == len(self._toks):
+            self._toks, self._pos = [], 0
+            lines = self._fh.readlines(_READ_BYTES)
+            if not lines:
+                return False
+            text = "".join(lines)
+            if "#" in text:
+                text = "\n".join(line.split("#", 1)[0] for line in lines)
+            del lines
+            self._toks = text.split()
+        return True
+
+    def __iter__(self) -> "_Tokens":
+        return self
+
+    def __next__(self) -> str:
+        if not self._more():
+            raise StopIteration
+        self._pos += 1
+        return self._toks[self._pos - 1]
+
+    def floats(self, count: int, where: str) -> tuple[np.ndarray, int]:
+        """The next ``count`` tokens parsed by ``float`` into a float64 array,
+        and how many there were: fewer than ``count`` when the file ends
+        first, and the array's tail is then unset. A token that is not a
+        number raises as :func:`_float` does, naming its entry in the block."""
+        out = np.empty(min(count, self._cap))
+        n = 0
+        while n < out.size and self._more():
+            k = min(len(self._toks) - self._pos, out.size - n)
+            # The slice lives only in _floats' frame, so it never keeps a
+            # spent chunk alive while _more loads the next one.
+            out[n : n + k] = _floats(self._toks[self._pos : self._pos + k], n, where)
+            n += k
+            self._pos += k
+        return out, n
 
 
 def _finite(flat: np.ndarray, where: str, what: str) -> np.ndarray:
     """Return ``flat``, or raise naming its first NaN or infinite entry."""
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        k = int(bad[0])
+    finite = np.isfinite(flat)
+    if not finite.all():
+        k = int(finite.argmin())
         raise ValueError(
             f"{where}: entry {k} (0-based, column-major) is {flat[k]}; "
             f"{what} entries must be finite"
@@ -105,7 +176,7 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     entry of a bad value.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        tok = _tokens(fh)
+        tok = _Tokens(fh)
         try:
             order = _int(next(tok), path)
         except StopIteration:
@@ -117,12 +188,14 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
             raise ValueError(f"{path}: header ended before {order} dimensions")
         if any(d < 1 for d in dims):
             raise ValueError(f"{path}: dimensions must be positive, got {dims}")
-        values = _floats(tok, str(path))
-    count = int(np.prod(dims))
-    if len(values) != count:
-        raise ValueError(f"{path}: expected {count} values for dims {dims}, found {len(values)}")
-    flat = _finite(np.array(values, dtype=np.float64), str(path), "tensor")
-    return flat.reshape(dims, order="F")
+        count = math.prod(dims)
+        flat, found = tok.floats(count, str(path))
+        for t in tok:  # values beyond the count are parsed only to count them
+            _float(t, found, str(path))
+            found += 1
+    if found != count:
+        raise ValueError(f"{path}: expected {count} values for dims {dims}, found {found}")
+    return _finite(flat, str(path), "tensor").reshape(dims, order="F")
 
 
 def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:
@@ -141,7 +214,7 @@ def read_model(path: str | os.PathLike) -> FactorModel:
     """Parse a factor model text file; a malformed file, or a factor entry
     that is not a number or not finite, raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        tok = _tokens(fh)
+        tok = _Tokens(fh)
         try:
             name = next(tok)
         except StopIteration:
@@ -163,8 +236,8 @@ def read_model(path: str | os.PathLike) -> FactorModel:
                 if cols != rank:
                     raise ValueError(f"{path}: factor has {cols} columns, rank is {rank}")
                 where = f"{path}: factor {i}"
-                data = np.array(_floats(itertools.islice(tok, rows * cols), where))
-                if data.size < rows * cols:
+                data, found = tok.floats(rows * cols, where)
+                if found < rows * cols:
                     raise ValueError(f"{path}: model file ended early")
                 data = _finite(data, where, "factor")
                 factors.append(data.reshape(rows, cols, order="F"))

@@ -576,12 +576,7 @@ def qr_orthogonal_factor(p: np.ndarray) -> np.ndarray:
     so an input that already has orthonormal columns is returned unchanged
     up to roundoff.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("qr_orthogonal_factor expects a matrix")
-    if p.shape[0] < p.shape[1]:
-        raise ValueError(f"need rows >= cols, got shape {p.shape}")
-    q, r = np.linalg.qr(p)
+    q, r = np.linalg.qr(np.asarray(p, dtype=np.float64))
     signs = np.sign(np.diagonal(r)).copy()
     signs[signs == 0.0] = 1.0
     return q * signs

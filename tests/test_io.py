@@ -1,4 +1,6 @@
 """Text serialization round trips and format validation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from symtensor import (
     write_model,
     write_tensor,
 )
+from symtensor import io as st_io
 
 
 def test_tensor_roundtrip_bit_exact(tmp_path):
@@ -205,3 +208,155 @@ def test_model_rejects_malformed_number(tmp_path, text, factor, index, token):
         with pytest.raises(ValueError, match="expected an integer, found") as info:
             read_model(path)
         assert str(info.value).startswith(f"{path}: ")
+
+
+# --------------------------------------------------------------------- #
+# Files longer than one read chunk                                       #
+# --------------------------------------------------------------------- #
+
+_DIMS = (20, 20, 20)  # 8,000 values, about 2.5 chunks of text
+
+
+def _value_lines(flat):
+    """``flat`` as written files hold it: six values per line, 17 digits."""
+    return [" ".join("%.17g" % v for v in flat[i : i + 6]) + "\n" for i in range(0, flat.size, 6)]
+
+
+def _with_token(line, j, token):
+    """``line`` with its ``j``-th token replaced by ``token``."""
+    toks = line.split()
+    toks[j] = token
+    return " ".join(toks) + "\n"
+
+
+def _past_first_chunk(lines):
+    """Index of the first line that starts more than one and a half read
+    chunks into ``lines``."""
+    chars = 0
+    for i, line in enumerate(lines):
+        if chars > 1.5 * st_io._READ_BYTES:
+            return i
+        chars += len(line)
+    raise AssertionError("lines shorter than one and a half chunks")
+
+
+def test_tensor_chunks_keep_header_line_values_and_comments(tmp_path):
+    x = np.random.default_rng(2).standard_normal(_DIMS)
+    lines = _value_lines(x.ravel(order="F"))
+    k = _past_first_chunk(lines)
+    lines[k] = lines[k].rstrip("\n") + "  # inline comment 1 2 3\n"
+    lines.insert(k + 1, "# a comment line 4 5 6\n")
+    path = tmp_path / "t.txt"
+    # the header shares its line with the first values
+    path.write_text("3 20 20 20 " + "".join(lines))
+    np.testing.assert_array_equal(read_tensor(path), x)
+
+
+def test_tensor_names_bad_token_in_a_later_chunk_by_global_entry(tmp_path):
+    flat = np.random.default_rng(3).standard_normal(np.prod(_DIMS))
+    lines = _value_lines(flat)
+    k = _past_first_chunk(lines)
+    lines[k] = _with_token(lines[k], 1, "abc")
+    path = tmp_path / "t.txt"
+    path.write_text("3 20 20 20\n" + "".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_tensor(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: entry {6 * k + 1} (0-based, column-major)")
+    assert "'abc'" in msg
+
+
+def test_tensor_count_errors_count_every_token_across_chunks(tmp_path):
+    count = int(np.prod(_DIMS))
+    lines = _value_lines(np.random.default_rng(4).standard_normal(count + 5000))
+    path = tmp_path / "t.txt"
+    path.write_text("3 20 20 20\n" + "".join(lines))
+    found = f"expected {count} values for dims \\(20, 20, 20\\), found {count + 5000}$"
+    with pytest.raises(ValueError, match=found):
+        read_tensor(path)
+    # a token past the count is still parsed, and named by its entry
+    k = len(lines) - 2
+    lines[k] = _with_token(lines[k], 0, "zz")
+    path.write_text("3 20 20 20\n" + "".join(lines))
+    with pytest.raises(ValueError, match=f"entry {6 * k} \\(0-based, column-major\\).*'zz'"):
+        read_tensor(path)
+    k = _past_first_chunk(lines)
+    path.write_text("3 20 20 20\n" + "".join(lines[:k]))
+    with pytest.raises(ValueError, match=f"found {6 * k}$"):
+        read_tensor(path)
+
+
+def test_header_claiming_more_values_than_the_file_holds(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("3 100000 100000 100000\n1 2\n")
+    with pytest.raises(ValueError, match=r"expected 1000000000000000 values .*, found 2$"):
+        read_tensor(path)
+    # 65536 ** 4 is 2 ** 64: the count is exact, not wrapped to zero
+    path.write_text("4 65536 65536 65536 65536\n")
+    with pytest.raises(ValueError, match=r"expected 18446744073709551616 values .*, found 0$"):
+        read_tensor(path)
+    path.write_text("psym3 2\n1000000000000 2\n1 2\n")
+    with pytest.raises(ValueError, match="model file ended early"):
+        read_model(path)
+
+
+def _big_model():
+    rng = np.random.default_rng(5)
+    factors = [rng.standard_normal((1200, 8)), rng.standard_normal((900, 8))]
+    return FactorModel(SymmetryPattern.PSYM3, factors)
+
+
+def test_model_values_across_chunks(tmp_path):
+    model = _big_model()
+    path = tmp_path / "m.txt"
+    write_model(path, model)
+    back = read_model(path)
+    for f, g in zip(model.factors, back.factors):
+        np.testing.assert_array_equal(f, g)
+    text = path.read_text()
+    second = text.index("\n900 8\n")
+    assert second > 2 * st_io._READ_BYTES  # the first factor spans chunks
+    path.write_text(text[: second + len("\n900 8\n") + 3 * st_io._READ_BYTES // 2])
+    with pytest.raises(ValueError, match="model file ended early"):
+        read_model(path)
+    lines = text[second + 1 :].splitlines(keepends=True)
+    k = _past_first_chunk(lines[1:]) + 1
+    lines[k] = _with_token(lines[k], 2, "3x")
+    path.write_text(text[: second + 1] + "".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_model(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: factor 1: entry {6 * (k - 1) + 2} (0-based, column-major)")
+    assert "'3x'" in msg
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # first-call caches are not the reader's memory
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _chunk_peak(path):
+    """Traced peak of loading the first chunk of ``path``'s tokens."""
+
+    def first_chunk():
+        with open(path, encoding="utf-8") as fh:
+            next(st_io._Tokens(fh))
+
+    return _traced_peak(first_chunk)
+
+
+def test_read_memory_is_the_output_plus_one_chunk(tmp_path):
+    x = np.random.default_rng(6).standard_normal((40, 40, 40))
+    path = tmp_path / "t.txt"
+    write_tensor(path, x)
+    assert _traced_peak(read_tensor, path) < 1.5 * x.nbytes + _chunk_peak(path)
+    model = _big_model()
+    path = tmp_path / "m.txt"
+    write_model(path, model)
+    nbytes = sum(f.nbytes for f in model.factors)
+    assert _traced_peak(read_model, path) < 1.5 * nbytes + _chunk_peak(path)

@@ -154,13 +154,6 @@ def test_qr_orthonormal_and_sign_fixed():
     np.testing.assert_allclose(qr_orthogonal_factor(q), q, atol=1e-12)
 
 
-def test_qr_rejects_wide():
-    with pytest.raises(ValueError, match="rows >= cols"):
-        qr_orthogonal_factor(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="expects a matrix"):
-        qr_orthogonal_factor(np.ones(3))
-
-
 # --------------------------------------------------------------------- #
 # Symmetric PSD factorization                                            #
 # --------------------------------------------------------------------- #
