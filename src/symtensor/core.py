@@ -253,7 +253,9 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
     d = p.reshape(tuple(x.shape[m] for m in perm))
     np.subtract(d, x.transpose(perm), out=d)
     d = d.reshape(-1)
-    return float(d @ d)
+    # numpy's own reduction, not a BLAS dot: its summation order does not
+    # depend on the BLAS thread count
+    return float(np.einsum("i,i->", d, d))
 
 
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:

@@ -5,8 +5,12 @@ checkout's package on the path:
 
     PYTHONPATH=src python tests/golden_runs.py write runs.json
     python tests/golden_runs.py compare tests/golden_runs.json runs.json
+    PYTHONPATH=src python tests/golden_runs.py write --threads 2 runs2.json
+    python tests/golden_runs.py compare runs.json runs2.json
 
-``write`` runs every case below with BLAS pinned to one thread and saves,
+``write`` runs every case below with BLAS pinned to one thread (to N with
+``--threads N``, so that ``compare`` shows which cases depend on the BLAS
+thread count) and saves,
 per case, the iteration count, the stop reason, the diagnostics, the final
 residual and sha256 digests of the factors, the residual history and (for
 als3_sym) the symmetry defects, plus the environment block. A case that
@@ -29,6 +33,7 @@ which covers its derivation of each seed's problem, start and redraw seed.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -186,8 +191,10 @@ def _kernel_cases(st):
     yield "kernel/pcls4_full_setup", {"values": _digest(setup)}
 
 
-def write(path: str) -> None:
+def write(path: str, threads: int = 1) -> None:
     envinfo.pin_blas_threads()
+    for var in envinfo.PIN_VARS:
+        os.environ[var] = str(threads)
     import symtensor as st
 
     runs = {}
@@ -246,13 +253,23 @@ def compare(old_path: str, new_path: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "write":
-        write(argv[1])
-        return 0
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
-    print(__doc__, file=sys.stderr)
-    return 2
+    parser = argparse.ArgumentParser(
+        prog="golden_runs.py", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="run every case and save the digests")
+    w.add_argument("path")
+    w.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
+    c = sub.add_parser("compare", help="name the cases that changed between two files")
+    c.add_argument("old")
+    c.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        return compare(args.old, args.new)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
+    write(args.path, args.threads)
+    return 0
 
 
 if __name__ == "__main__":
