@@ -204,11 +204,12 @@ def _model_product(model: FactorModel) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _product_layout(x: np.ndarray) -> np.ndarray:
-    """x stored in the memory order of the model's GEMM product, so that
-    :func:`residual_sq` reads it in one contiguous pass. A view of x, with
-    no copy, when x already has that layout (a C-ordered order-3 tensor)."""
+    """x as float64, stored in the memory order of the model's GEMM product,
+    so that :func:`residual_sq` reads it in one contiguous pass. One copy at
+    most, and a view of x when x already is such an array (a C-ordered
+    float64 order-3 tensor)."""
     perm = _product_perm(x.ndim)
-    return np.ascontiguousarray(x.transpose(perm)).transpose(perm)
+    return np.ascontiguousarray(x.transpose(perm), dtype=np.float64).transpose(perm)
 
 
 def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.ndarray:
@@ -243,8 +244,6 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
     when x is stored in the product's order (C order at order 3, the square
     matricization's at order 4) and reads it with a stride otherwise, which
     on a large F-ordered tensor costs more than the product itself.
-    Callers that take many residuals of one tensor pass
-    :func:`_product_layout`'s copy.
     """
     x = np.asarray(x)
     if x.shape != model.dims:

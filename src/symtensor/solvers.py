@@ -202,21 +202,23 @@ class _Run:
     defect of at most ``_SYM_PRE_TOL`` times the largest |entry|), and
     copies one starting factor per label, rejecting non-finite ones and ones
     with an entry beyond ``_SCALE_LIMIT``, which no refit could recover
-    from. ``x`` is the tensor the steps matricize, in the caller's memory
-    order; ``residual_x`` is the same tensor stored in the memory order of
-    the model product (:func:`core._product_layout`: a view when x already
-    has it, else one copy), and only :func:`residual_sq` reads it.
-    ``lstsq`` and ``_solve`` count rank-deficient solves, ``sweep`` refits
-    factor columns, and ``iterate`` runs a solver's ``step`` until a stop.
+    from. ``x`` is the run's one stored tensor: float64 in the memory order
+    of the model product (:func:`core._product_layout`), a view of the
+    caller's array when that already is one, else one copy. The residual
+    streams it, and every matricization and QR fallback reads it, so no
+    value depends on the caller's memory order. ``lstsq`` and ``_solve``
+    count rank-deficient solves, ``sweep`` refits factor columns, and
+    ``iterate`` runs a solver's ``step`` until a stop.
     """
 
     def __init__(self, name, x, r, init, cfg, pattern, shape, labels, symmetric=False):
         self.cfg = cfg or SolverConfig()
-        self.x = x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         try:
             rows = pattern.factor_rows(x.shape)
         except ValueError:
             raise ValueError(f"{name} expects an {shape} tensor, got {x.shape}") from None
+        self.x = x = _product_layout(x)
         with np.errstate(over="ignore"):
             norm_sq = float(np.sum(x * x))
         if not math.isfinite(norm_sq):
@@ -252,7 +254,6 @@ class _Run:
                     f"beyond the scale limit {_SCALE_LIMIT:g}"
                 )
             self.factors.append(a)
-        self.residual_x = _product_layout(x)
         self.diag: dict = {}
         self.residuals: list[float] = []
         self.elapsed: list[float] = []
@@ -344,7 +345,7 @@ class _Run:
         for _ in range(self.cfg.max_iters):
             t0 = time.perf_counter()
             factors = step()
-            self.residuals.append(residual_sq(self.residual_x, FactorModel(pattern, factors)))
+            self.residuals.append(residual_sq(self.x, FactorModel(pattern, factors)))
             stop = self._stop(factors)
             self.elapsed.append(time.perf_counter() - t0)
             if stop is not None:

@@ -16,7 +16,9 @@ residual and sha256 digests of the factors, the residual history and (for
 als3_sym) the symmetry defects, plus the environment block. A case that
 raises records the exception instead. ``compare`` names each case whose
 digest, iteration count, stop reason, diagnostics or error changed, with
-the count and residual moves, and exits 1 when any did.
+the count and residual moves, and exits 1 when any did. It also counts the
+benchmark cases of the new file whose C-ordered run differs from its
+F-ordered twin: the solvers promise 0.
 
 Digests depend on the numpy/BLAS build, so a reference file only compares
 with runs from the same environment: it is a tool for checking that a
@@ -249,6 +251,9 @@ def compare(old_path: str, new_path: str) -> int:
             changed += 1
             print(f"{name}: " + "; ".join(notes))
     print(f"{changed} of {len(names)} cases changed")
+    twins = [n for n in new["runs"] if n.startswith("bench/")]
+    split = sum(new["runs"][n] != new["runs"].get("bench-file/" + n[len("bench/"):]) for n in twins)
+    print(f"{split} of {len(twins)} bench/ cases in {new_path} differ from their bench-file/ twin")
     return 1 if changed else 0
 
 

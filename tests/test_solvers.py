@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -529,46 +530,73 @@ def _solve_run(**cfg):
 
 @pytest.mark.parametrize(
     "pattern,dims,solver,labels,perm",
-    [(SymmetryPattern.PSYM3, (4, 4, 3), "als3_sym", "AC", (0, 1, 2)),
-     (SymmetryPattern.FSYM4, (3, 3, 3, 3), "als4_sym", "A", (0, 2, 1, 3))],
+    [(SymmetryPattern.PSYM3, (40, 40, 30), "als3_sym", "AC", (0, 1, 2)),
+     (SymmetryPattern.FSYM4, (12, 12, 12, 12), "als4_sym", "A", (0, 2, 1, 3))],
 )
 def test_run_residual_operand_has_the_product_layout(pattern, dims, solver, labels, perm):
-    """``_Run.residual_x`` holds x in the model product's memory order: x
-    itself, viewed, when x already has that order, else one copy."""
+    """``_Run.x``, the one tensor a run stores and the residual's operand,
+    is x as float64 in the model product's memory order: a view of x when x
+    already is that, else one copy, also for a float32 F-ordered x."""
     x, model = make_problem(pattern, dims, 2, seed=0)
+
+    def run_on(y):
+        init = [f.copy() for f in model.factors]
+        return solvers._Run(solver, y, 2, init, None, pattern, "", labels)
+
     product = np.ascontiguousarray(x.transpose(perm)).transpose(perm)
     for y in (x, np.asfortranarray(x), product):
-        run = solvers._Run(
-            solver, y, 2, [f.copy() for f in model.factors], None, pattern, "", labels
-        )
-        assert run.x is y
-        assert np.array_equal(run.residual_x, y)
-        assert run.residual_x.transpose(perm).flags.c_contiguous
-        has_layout = y.transpose(perm).flags.c_contiguous
-        assert np.shares_memory(run.residual_x, y) == has_layout
+        run = run_on(y)
+        assert np.array_equal(run.x, y)
+        assert run.x.transpose(perm).flags.c_contiguous
+        assert np.shares_memory(run.x, y) == y.transpose(perm).flags.c_contiguous
+    y = np.asfortranarray(x, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = run_on(y)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert run.x.dtype == np.float64 and np.array_equal(run.x, y)
+    assert run.x.transpose(perm).flags.c_contiguous
+    assert run.x.nbytes <= kept < 2 * run.x.nbytes
+
+
+def _strided(x):
+    """x as a view whose last mode steps over every other float64."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    return wide[..., ::2]
 
 
 @pytest.mark.parametrize(
-    "solver,kind,dims,rank",
-    [(als3, "general3", (7, 6, 5), 3), (als3_sym, "psym3", (7, 7, 6), 3),
-     (als4_sym, "fsym4", (5, 5, 5, 5), 3), (pcls4_full, "fsym4", (5, 5, 5, 5), 3)],
-    ids=["als3", "als3_sym", "als4_sym", "pcls4_full"],
+    "solver,kind,dims,rank,seeds",
+    [(als3, "general3", (7, 6, 5), 3, (4, 5)), (als3_sym, "psym3", (7, 7, 6), 3, (4, 5)),
+     (als4_sym, "fsym4", (5, 5, 5, 5), 3, (4, 5)), (pcls4_full, "fsym4", (5, 5, 5, 5), 3, (4, 5)),
+     # a case where unfoldings taken from C and F copies round differently
+     (pcls3, "psym3", (17, 17, 18), 6, (7, 8)),
+     (pcls4_case1, "psym4-case1", (4, 3, 4, 3), 2, (4, 5)),
+     (pcls4_case2, "psym4-case2", (4, 3, 4, 5), 2, (4, 5))],
+    ids=["als3", "als3_sym", "als4_sym", "pcls4_full", "pcls3", "pcls4_case1", "pcls4_case2"],
 )
-def test_solver_bit_equal_on_c_and_f_layouts(solver, kind, dims, rank):
-    """The input's memory order does not change a solver's values: C and F
-    copies of one tensor give bit-equal factors and residuals."""
+def test_solver_bit_equal_on_c_and_f_layouts(solver, kind, dims, rank, seeds):
+    """The input's memory order does not change a solver's values: C, F and
+    stride-2 copies of one tensor give bit-equal factors and residuals."""
     if kind == "general3":  # no problem kind of the harness: als3 on a random tensor
-        x, init, _ = _als_start("als3", dims, rank, seed=4)
+        x, init, _ = _als_start("als3", dims, rank, seed=seeds[0])
     else:
-        x, truth = generate_problem(kind, dims, rank, np.random.default_rng(4), 0.5)
-        init = initialize([f.shape for f in truth.factors], np.random.default_rng(5), truth, 0.3)
+        problem_seed, start_seed = seeds
+        x, truth = generate_problem(kind, dims, rank, np.random.default_rng(problem_seed), 0.5)
+        shapes = [f.shape for f in truth.factors]
+        init = initialize(shapes, np.random.default_rng(start_seed), truth, 0.3)
         init = init[0] if kind == "fsym4" else init
     cfg = SolverConfig(max_iters=40)
-    runs = [solver(y, rank, init, cfg) for y in (np.ascontiguousarray(x), np.asfortranarray(x))]
-    (m0, t0), (m1, t1) = runs
-    assert t0.residuals == t1.residuals
-    for f0, f1 in zip(m0.factors, m1.factors):
-        np.testing.assert_array_equal(f0, f1)
+    ys = (np.ascontiguousarray(x), np.asfortranarray(x), _strided(x))
+    (m0, t0), *others = [solver(y, rank, init, cfg) for y in ys]
+    for m1, t1 in others:
+        assert t0.residuals == t1.residuals
+        for f0, f1 in zip(m0.factors, m1.factors):
+            np.testing.assert_array_equal(f0, f1)
 
 
 @pytest.mark.parametrize(
