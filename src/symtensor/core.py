@@ -212,14 +212,21 @@ def _product_layout(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(perm), dtype=np.float64).transpose(perm)
 
 
+# Float64 values in residual_sq's working block: 512 KiB, so that the block
+# and the tensor slab it is compared with stay in a 2 MiB L2 cache.
+_BLOCK = 1 << 16
+
+
 def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Sum of rank-one outer products defined by the model.
 
     The symmetric mode pairs are multiplied first (one Khatri-Rao product
     per pair, then one GEMM), so the output is exactly (bitwise) invariant
-    under the pattern's paired-mode swaps. :func:`residual_sq` uses the same
-    product, so the residual of a model against its own reconstruction is
-    exactly zero.
+    under the pattern's paired-mode swaps. :func:`residual_sq` forms the same
+    product, in row slabs when it exceeds one block, so the residual of a
+    model against its own reconstruction is exactly zero within one block,
+    and across blocks up to the roundoff of a BLAS that computes a slab's
+    GEMM rows differently from the whole product's.
 
     Parameters
     ----------
@@ -237,24 +244,35 @@ def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.n
 def residual_sq(x: np.ndarray, model: FactorModel) -> float:
     """Squared Frobenius norm of x minus the model reconstruction.
 
-    The tensor is subtracted in place from the model's GEMM product, read
-    through a transposed view of x, so no full-size temporary is made
-    beyond that product, whatever x's memory order. The value does not
-    depend on that order, but the speed does: the subtraction streams x
-    when x is stored in the product's order (C order at order 3, the square
-    matricization's at order 4) and reads it with a stride otherwise, which
-    on a large F-ordered tensor costs more than the product itself.
+    The model's GEMM product is streamed slab by slab over the rows of its
+    first factor: each slab's GEMM goes into one reused buffer of at most
+    ``_BLOCK`` values (more only when one row of the first factor spans
+    more), the matching slab of x is subtracted in place through a
+    transposed view of x, and the slab sums are added in slab order. No
+    tensor-sized temporary is made, and the value does not depend on x's
+    memory order. A product that fits one block takes one GEMM, as
+    :func:`reconstruct` does.
     """
     x = np.asarray(x)
     if x.shape != model.dims:
         raise ValueError(f"tensor shape {x.shape} does not match model dims {model.dims}")
-    p, perm = _model_product(model)
-    d = p.reshape(tuple(x.shape[m] for m in perm))
-    np.subtract(d, x.transpose(perm), out=d)
-    d = d.reshape(-1)
-    # numpy's own reduction, not a BLAS dot: its summation order does not
-    # depend on the BLAS thread count
-    return float(np.einsum("i,i->", d, d))
+    f = [model.factors[i] for i in model.pattern.mode_factors]
+    xp = x.transpose(_product_perm(x.ndim))
+    lead, right = (f[1], f[2].T) if x.ndim == 3 else (f[2], khatri_rao(f[1], f[3]).T)
+    row = x.size // len(f[0])  # product entries per row of f[0]
+    step = max(1, _BLOCK // row)
+    block = np.empty(min(step, len(f[0])) * row)
+    total = 0.0
+    for i in range(0, len(f[0]), step):
+        xs = xp[i : i + step]
+        flat = block[: xs.size]
+        np.matmul(khatri_rao(f[0][i : i + step], lead), right, out=flat.reshape(-1, right.shape[1]))
+        d = flat.reshape(xs.shape)
+        np.subtract(d, xs, out=d)
+        # numpy's own reduction, not a BLAS dot: its summation order does
+        # not depend on the BLAS thread count
+        total += float(np.einsum("i,i->", flat, flat))
+    return total
 
 
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:

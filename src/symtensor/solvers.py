@@ -377,22 +377,24 @@ def _als(run: _Run, f: list[np.ndarray], pattern: SymmetryPattern, defects=None)
     from its normal-equation pieces; m and X_(n) are built only for the QR
     fallback. The Gram ``m.T @ m`` is the Hadamard product of the other
     factors' Grams, refreshed after each refit. ``m.T @ X_(n).T`` comes from
-    the matricization ``xm`` with rows (i0, i1), by GEMMs whose inner
-    dimension is one mode or one pair of modes and whose output is R wide
-    rows: modes 0 and 1 share ``f[2].T @ xm.T`` (``(f[3] (.) f[2]).T @
-    xm.T`` at order 4) and each contracts it with its partner in one einsum.
-    At order 4 modes 2 and 3 do the same with ``(f[1] (.) f[0]).T @ xm``. At
-    order 3 mode 2 takes ``f[0].T`` times ``xm`` viewed as I0 x (I1 K), then
-    contracts i1 with f[1]'s columns in one batched matmul, so no Khatri-Rao
-    product is formed. At order 3 no product sums over a pair of modes, and
-    on 48 x 48 x 40 and 60^3 tensors the factors are bit-identical at one
-    and two BLAS threads. Each refit sees the factors the plain chain would.
+    GEMMs whose inner dimension is one mode or one pair of modes and whose
+    output is R wide rows, each finished by batched ``np.matmul``
+    contractions with one factor's columns. Modes 0 and 1 share ``f[2].T @
+    xm.T`` (``(f[3] (.) f[2]).T @ xm.T`` at order 4), with ``xm`` the
+    F-ordered matricization with rows (i0, i1), a copy made once per call
+    that this GEMM reads faster than a view of ``run.x``. At order 4 modes 2
+    and 3 do the same with ``(f[1] (.) f[0]).T @ xm``. At order 3 mode 2
+    takes ``f[0].T`` times ``run.x`` viewed, without a copy, as the C-ordered
+    I0 x (I1 K) matrix, then contracts i1 with f[1]'s columns, so no
+    Khatri-Rao product is formed. At order 3 no product sums over a pair of
+    modes, and on 48 x 48 x 40 and 60^3 tensors the factors are
+    bit-identical at one and two BLAS threads. Each refit sees the factors
+    the plain chain would.
     With ``defects``, the Frobenius distance between the first two factors
     is recorded after every sweep.
     """
     dims = run.x.shape
     xm = run.x.reshape(dims[0] * dims[1], -1, order="F")
-    x0 = xm.reshape(dims[0], -1, order="F")  # x0[i0, i1 + I1 k] = x[i0, i1, k]
     grams = [_factor_gram(a) for a in f]
 
     def refit(n: int, mtr: np.ndarray) -> None:
@@ -412,15 +414,15 @@ def _als(run: _Run, f: list[np.ndarray], pattern: SymmetryPattern, defects=None)
     def pair(prod: np.ndarray, n: int) -> None:
         """Refit modes n and n + 1 from ``prod``: x contracted with the other
         half's factors, row r, column i_n + I_n * i_{n+1}."""
-        w = prod.reshape(-1, dims[n + 1], dims[n])
-        refit(n, np.einsum("rji,jr->ri", w, f[n + 1]))
-        refit(n + 1, np.einsum("rji,ir->rj", w, f[n]))
+        w = prod.reshape(-1, dims[n + 1], dims[n])  # w[r, i_{n+1}, i_n]
+        refit(n, (f[n + 1].T[:, None, :] @ w)[:, 0])
+        refit(n + 1, (w @ f[n].T[:, :, None])[:, :, 0])
 
     def step() -> list[np.ndarray]:
         if len(f) == 3:
             pair(f[2].T @ xm.T, 0)
-            y = (f[0].T @ x0).reshape(-1, dims[2], dims[1])  # y[r, k, i1]
-            refit(2, np.matmul(y, f[1].T[:, :, None])[:, :, 0])
+            y = (f[0].T @ run.x.reshape(dims[0], -1)).reshape(-1, *dims[1:])  # y[r, i1, k]
+            refit(2, (f[1].T[:, None, :] @ y)[:, 0])
         else:
             pair(khatri_rao(f[3], f[2]).T @ xm.T, 0)
             pair(khatri_rao(f[1], f[0]).T @ xm, 2)

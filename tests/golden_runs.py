@@ -16,9 +16,11 @@ residual and sha256 digests of the factors, the residual history and (for
 als3_sym) the symmetry defects, plus the environment block. A case that
 raises records the exception instead. ``compare`` names each case whose
 digest, iteration count, stop reason, diagnostics or error changed, with
-the count and residual moves, and exits 1 when any did. It also counts the
-benchmark cases of the new file whose C-ordered run differs from its
-F-ordered twin: the solvers promise 0.
+the count and residual moves, and exits 1 when any did. A summary line
+counts the changed cases that moved nothing but digests, the changed cases
+per solver whose factor digest moved, and those whose only change is the
+residual digest. A last line counts the benchmark cases of the new file
+whose C-ordered run differs from its F-ordered twin: the solvers promise 0.
 
 Digests depend on the numpy/BLAS build, so a reference file only compares
 with runs from the same environment: it is a tool for checking that a
@@ -211,7 +213,8 @@ def write(path: str, threads: int = 1) -> None:
         fh.write("\n")
 
 
-def _changes(old: dict, new: dict) -> list[str]:
+def _changes(old: dict, new: dict) -> tuple[list[str], list[str]]:
+    """Notes on what changed from ``old`` to ``new``, and the digests that moved."""
     notes = []
     if old.get("error") != new.get("error"):
         notes.append(f"error {old.get('error')!r} -> {new.get('error')!r}")
@@ -229,7 +232,7 @@ def _changes(old: dict, new: dict) -> list[str]:
             rel = abs(b - a) / max(abs(a), 1e-300) if math.isfinite(a) else math.inf
             note += f" (final residual {a:.6e} -> {b:.6e}, {rel:.1e} relative)"
         notes.append(note)
-    return notes
+    return notes, digests
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -240,17 +243,29 @@ def compare(old_path: str, new_path: str) -> int:
     if old["environment"] != new["environment"]:
         print("note: the environment blocks differ; digests may differ for that reason alone")
     names = sorted(set(old["runs"]) | set(new["runs"]))
-    changed = 0
+    changed = digest_only = residual_only = 0
+    factor_moves = {}  # solver: changed cases whose factor digest moved
     for name in names:
         a, b = old["runs"].get(name), new["runs"].get(name)
         if a is None or b is None:
-            notes = ["only in " + (new_path if a is None else old_path)]
+            notes, digests = ["only in " + (new_path if a is None else old_path)], []
         else:
-            notes = _changes(a, b)
+            notes, digests = _changes(a, b)
         if notes:
             changed += 1
             print(f"{name}: " + "; ".join(notes))
+            digest_only += len(notes) == 1 and bool(digests)
+            residual_only += len(notes) == 1 and digests == ["residuals"]
+            if "factors" in (a or {}) or "factors" in (b or {}):
+                solver = name.rsplit("/", 1)[1]
+                factor_moves[solver] = factor_moves.get(solver, 0) + ("factors" in digests)
     print(f"{changed} of {len(names)} cases changed")
+    moves = ", ".join(f"{s} {n}" for s, n in sorted(factor_moves.items())) or "none"
+    print(
+        f"of those, {digest_only} moved no iteration count, stop reason, diagnostics entry"
+        f" or error; factor digest moved, per solver: {moves};"
+        f" {residual_only} changed the residual digest alone"
+    )
     twins = [n for n in new["runs"] if n.startswith("bench/")]
     split = sum(new["runs"][n] != new["runs"].get("bench-file/" + n[len("bench/"):]) for n in twins)
     print(f"{split} of {len(twins)} bench/ cases in {new_path} differ from their bench-file/ twin")

@@ -1,5 +1,6 @@
 """Tensor primitives against brute-force oracles and hand-computed values."""
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from symtensor import (
     symmetry_defect,
 )
 
-from symtensor.core import _product_layout
+from symtensor.core import _BLOCK, _product_layout
 
 from _oracles import (
     khatri_rao_oracle,
@@ -218,6 +219,61 @@ def test_residual_sq_bit_equal_across_layouts(pattern, rows):
     values = [residual_sq(y, model) for y in copies]
     assert values[0] > 0.0
     assert values == [values[0]] * 3
+
+
+# Sizes whose model product spans several of residual_sq's blocks, the last
+# one partial. ``exact``: the residual against the model's own
+# reconstruction is 0.0, not just roundoff. That needs the BLAS to give a
+# slab's GEMM rows the bits it gives the same rows of the whole product,
+# which OpenBLAS 0.3.31 does at these four sizes and not at the other two.
+_MULTI_BLOCK = [
+    (SymmetryPattern.GENERAL3, (70, 71, 33), True),
+    (SymmetryPattern.PSYM3, (90, 20), True),
+    (SymmetryPattern.PSYM4_CASE1, (20, 15), False),
+    (SymmetryPattern.PSYM4_CASE2, (20, 12, 16), True),
+    (SymmetryPattern.FSYM4, (22,), False),
+    (SymmetryPattern.GENERAL4, (21, 22, 23, 24), True),
+]
+
+
+@pytest.mark.parametrize("pattern,rows,exact", _MULTI_BLOCK)
+def test_residual_sq_across_blocks_matches_oracle(pattern, rows, exact):
+    """Slabs of the product, a ragged last one included, add up to the
+    whole residual, with the same float for C, F and strided copies of x."""
+    rng = np.random.default_rng(19)
+    factors = [rng.standard_normal((n, 4)) for n in rows]
+    model = FactorModel(pattern, factors)
+    dims = model.dims
+    step = _BLOCK // (np.prod(dims) // dims[0])
+    assert 0 < step < dims[0] and dims[0] % step
+    oracle = reconstruct_oracle([factors[i] for i in pattern.mode_factors])
+    x = oracle + 0.1 * rng.standard_normal(dims)
+    expected = float(np.sum((x - oracle) ** 2))
+    perm = (1, 0, *range(2, x.ndim))
+    strided = np.ascontiguousarray(x.transpose(perm)).transpose(perm)
+    values = [residual_sq(y, model) for y in (x, np.asfortranarray(x), strided)]
+    assert values[0] == pytest.approx(expected, rel=1e-12)
+    assert values == [values[0]] * 3
+    own = reconstruct(model)
+    for y in (own, np.asfortranarray(own)):
+        zero = residual_sq(y, model)
+        assert zero == 0.0 if exact else zero <= 1e-28 * float(np.sum(own * own))
+
+
+def test_residual_sq_memory_is_one_block():
+    """The residual streams the product through one block: on a 60^3 model
+    its peak allocation stays well below the tensor itself."""
+    rng = np.random.default_rng(23)
+    model = FactorModel(SymmetryPattern.PSYM3, [rng.standard_normal((60, 10)) for _ in range(2)])
+    x = reconstruct(model) + rng.standard_normal(model.dims)
+    residual_sq(x, model)
+    tracemalloc.start()
+    try:
+        residual_sq(x, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
 
 
 def test_reconstruct_zero_column_contributes_nothing():
