@@ -182,25 +182,21 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _product_perm(order: int) -> tuple[int, ...]:
-    """Mode order of :func:`_model_product`'s C-ordered product for a tensor
-    of ``order``: (0, 1, 2) at order 3, the square matricization's (0, 2, 1,
-    3) at order 4. Each is its own inverse."""
+    """Mode order of the model's C-ordered GEMM product at ``order``: (0, 1,
+    2), or the square matricization's (0, 2, 1, 3). Each is its own inverse."""
     return (0, 1, 2) if order == 3 else (0, 2, 1, 3)
 
 
-def _model_product(model: FactorModel) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The model's entries as one GEMM ``L @ R.T`` of two Khatri-Rao halves.
-
-    Order 3 takes L = f0 (.) f1 and R = f2. Order 4 pairs the modes that
-    share a factor in the symmetric patterns, L = f0 (.) f2 and R = f1 (.)
-    f3, so the product is the square matricization. Returns the product and
-    its mode order, :func:`_product_perm`'s.
-    """
+def _halves(model: FactorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f0, lead, right)``: the model's entries are the GEMM
+    ``khatri_rao(f0, lead) @ right`` in :func:`_product_perm`'s mode order.
+    Order 3 takes lead = f1 and right = f2.T; order 4 pairs the modes that
+    share a factor in the symmetric patterns, lead = f2 and right = (f1 (.)
+    f3).T, so the product is the square matricization."""
     f = [model.factors[i] for i in model.pattern.mode_factors]
-    perm = _product_perm(len(f))
     if len(f) == 3:
-        return khatri_rao(f[0], f[1]) @ f[2].T, perm
-    return khatri_rao(f[0], f[2]) @ khatri_rao(f[1], f[3]).T, perm
+        return f[0], f[1], f[2].T
+    return f[0], f[2], khatri_rao(f[1], f[3]).T
 
 
 def _product_layout(x: np.ndarray) -> np.ndarray:
@@ -236,9 +232,10 @@ def reconstruct(model: FactorModel, dims: tuple[int, ...] | None = None) -> np.n
     """
     if dims is not None and tuple(dims) != model.dims:
         raise ValueError(f"model generates dims {model.dims}, requested {tuple(dims)}")
-    p, perm = _model_product(model)
+    f0, lead, right = _halves(model)
+    perm = _product_perm(len(model.dims))
     shape = tuple(model.dims[m] for m in perm)
-    return np.ascontiguousarray(p.reshape(shape).transpose(perm))
+    return np.ascontiguousarray((khatri_rao(f0, lead) @ right).reshape(shape).transpose(perm))
 
 
 def residual_sq(x: np.ndarray, model: FactorModel) -> float:
@@ -256,17 +253,16 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
     x = np.asarray(x)
     if x.shape != model.dims:
         raise ValueError(f"tensor shape {x.shape} does not match model dims {model.dims}")
-    f = [model.factors[i] for i in model.pattern.mode_factors]
+    f0, lead, right = _halves(model)
     xp = x.transpose(_product_perm(x.ndim))
-    lead, right = (f[1], f[2].T) if x.ndim == 3 else (f[2], khatri_rao(f[1], f[3]).T)
-    row = x.size // len(f[0])  # product entries per row of f[0]
+    row = x.size // len(f0)  # product entries per row of f0
     step = max(1, _BLOCK // row)
-    block = np.empty(min(step, len(f[0])) * row)
+    block = np.empty(min(step, len(f0)) * row)
     total = 0.0
-    for i in range(0, len(f[0]), step):
+    for i in range(0, len(f0), step):
         xs = xp[i : i + step]
         flat = block[: xs.size]
-        np.matmul(khatri_rao(f[0][i : i + step], lead), right, out=flat.reshape(-1, right.shape[1]))
+        np.matmul(khatri_rao(f0[i : i + step], lead), right, out=flat.reshape(-1, right.shape[1]))
         d = flat.reshape(xs.shape)
         np.subtract(d, xs, out=d)
         # numpy's own reduction, not a BLAS dot: its summation order does

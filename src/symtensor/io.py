@@ -11,10 +11,11 @@ convention used by the solvers. Values are written with 17 significant
 digits so a write/read round trip is bit exact.
 
 The readers take whole lines about ``_READ_BYTES`` characters at a time (a
-longer line is one chunk) and parse each value with Python's ``float``
-straight into a preallocated float64 array, so reading needs about the
-output array plus one chunk of memory, and the accepted numbers are exactly
-those ``float`` accepts.
+longer line is one chunk). One pass over each chunk parses its values with
+Python's ``float`` straight into a preallocated float64 array and checks
+them for NaN and infinity, so reading needs about the output array plus one
+chunk of memory, and the accepted numbers are exactly those ``float``
+accepts.
 
 Model file layout::
 
@@ -83,18 +84,6 @@ def _float(token: str, entry: int, where: str) -> float:
         raise ValueError(f"{where}: entry {entry} (0-based, column-major): {exc}") from None
 
 
-def _floats(toks: list[str], first: int, where: str) -> np.ndarray:
-    """``toks`` parsed by ``float`` into a float64 array; a token that is
-    not a number raises as :func:`_float` does, as entry ``first`` + its
-    index."""
-    try:
-        return np.fromiter(map(float, toks), np.float64, len(toks))
-    except ValueError:
-        for j, t in enumerate(toks):
-            _float(t, first + j, where)
-        raise
-
-
 class _Tokens:
     """The whitespace-separated tokens of an open text file, comments
     stripped, read ``_READ_BYTES`` of whole lines at a time.
@@ -138,33 +127,33 @@ class _Tokens:
         self._pos += 1
         return self._toks[self._pos - 1]
 
-    def floats(self, count: int, where: str) -> tuple[np.ndarray, int]:
+    def floats(self, count: int, where: str, what: str) -> tuple[np.ndarray, int]:
         """The next ``count`` tokens parsed by ``float`` into a float64 array,
         and how many there were: fewer than ``count`` when the file ends
         first, and the array's tail is then unset. A token that is not a
-        number raises as :func:`_float` does, naming its entry in the block."""
+        number raises as :func:`_float` does, naming its entry in the block;
+        once ``count`` are in, so does the first NaN or infinite value."""
         out = np.empty(min(count, self._cap))
-        n = 0
+        n, bad = 0, None
         while n < out.size and self._more():
             k = min(len(self._toks) - self._pos, out.size - n)
-            # The slice lives only in _floats' frame, so it never keeps a
-            # spent chunk alive while _more loads the next one.
-            out[n : n + k] = _floats(self._toks[self._pos : self._pos + k], n, where)
+            try:
+                # the slice dies with the map: no spent chunk outlives _more
+                out[n : n + k] = np.fromiter(
+                    map(float, self._toks[self._pos : self._pos + k]), np.float64, k
+                )
+            except ValueError:
+                for j in range(k):
+                    _float(self._toks[self._pos + j], n + j, where)
+                raise
+            if bad is None and not np.isfinite(out[n : n + k]).all():
+                bad = n + int(np.isfinite(out[n : n + k]).argmin())
             n += k
             self._pos += k
+        if bad is not None and n == count:
+            raise ValueError(f"{where}: entry {bad} (0-based, column-major) is {out[bad]}; "
+                             f"{what} entries must be finite")
         return out, n
-
-
-def _finite(flat: np.ndarray, where: str, what: str) -> np.ndarray:
-    """Return ``flat``, or raise naming its first NaN or infinite entry."""
-    finite = np.isfinite(flat)
-    if not finite.all():
-        k = int(finite.argmin())
-        raise ValueError(
-            f"{where}: entry {k} (0-based, column-major) is {flat[k]}; "
-            f"{what} entries must be finite"
-        )
-    return flat
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
@@ -189,13 +178,13 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         if any(d < 1 for d in dims):
             raise ValueError(f"{path}: dimensions must be positive, got {dims}")
         count = math.prod(dims)
-        flat, found = tok.floats(count, str(path))
+        flat, found = tok.floats(count, str(path), "tensor")
         for t in tok:  # values beyond the count are parsed only to count them
             _float(t, found, str(path))
             found += 1
     if found != count:
         raise ValueError(f"{path}: expected {count} values for dims {dims}, found {found}")
-    return _finite(flat, str(path), "tensor").reshape(dims, order="F")
+    return flat.reshape(dims, order="F")
 
 
 def write_tensor(path: str | os.PathLike, t: np.ndarray) -> None:
@@ -235,11 +224,9 @@ def read_model(path: str | os.PathLike) -> FactorModel:
                     raise ValueError(f"{path}: factor {i} rows must be positive, got {rows}")
                 if cols != rank:
                     raise ValueError(f"{path}: factor has {cols} columns, rank is {rank}")
-                where = f"{path}: factor {i}"
-                data, found = tok.floats(rows * cols, where)
+                data, found = tok.floats(rows * cols, f"{path}: factor {i}", "factor")
                 if found < rows * cols:
                     raise ValueError(f"{path}: model file ended early")
-                data = _finite(data, where, "factor")
                 factors.append(data.reshape(rows, cols, order="F"))
         except StopIteration:
             raise ValueError(f"{path}: model file ended early") from None

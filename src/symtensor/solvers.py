@@ -512,11 +512,17 @@ def pcls3(
     per-coordinate quartic minimization, warm started; (3) refit C by least
     squares against (A (x) A). The returned model reuses A in both symmetric
     modes, so its reconstruction is symmetric regardless of convergence.
+
+    T(3) is the view ``run.x.reshape(-1, K).T``: the mode-3 unfolding with
+    columns (i, j) and (j, i) swapped, which on a bitwise symmetric tensor
+    are the same bytes. On one symmetric only within ``_SYM_PRE_TOL``, the
+    model is symmetric in those modes, so the objective is the same and
+    values move only at the size of the asymmetry.
     """
     pattern = SymmetryPattern.PSYM3
     run = _Run("pcls3", x, r, init, cfg, pattern, "I x I x K", "AC", symmetric=True)
     a, c = run.factors
-    t3 = mode_n_matricize(run.x, 2)
+    t3 = run.x.reshape(-1, run.x.shape[2]).T
 
     def step() -> list[np.ndarray]:
         nonlocal c

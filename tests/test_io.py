@@ -1,4 +1,5 @@
 """Text serialization round trips and format validation."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,21 @@ def test_tensor_rejects_non_finite_entries(tmp_path, body, index, value):
     msg = str(info.value)
     assert msg.startswith(f"{path}: entry {index} ")
     assert f" is {value};" in msg
+
+
+def test_tensor_fault_order(tmp_path):
+    """A non-finite value among the first ``count`` is named once they are
+    all in: after a bad token among them and a short file, before extra
+    values and a bad token among those."""
+    path = tmp_path / "t.txt"
+    cases = [("1 nan 1 1 5 6", "entry 1 .* is nan; tensor entries"),
+             ("1 nan 1 1 zz", "entry 1 .* is nan; tensor entries"),
+             ("1 nan abc 1 5", "entry 2 .*'abc'"),
+             ("1 inf 1", "expected 4 values .*, found 3$")]
+    for body, message in cases:
+        path.write_text("3 2 2 1\n" + body + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_tensor(path)
 
 
 def test_tensor_rejects_malformed_number(tmp_path):
@@ -266,6 +282,25 @@ def test_tensor_names_bad_token_in_a_later_chunk_by_global_entry(tmp_path):
     assert "'abc'" in msg
 
 
+def test_tensor_non_finite_across_chunks(tmp_path):
+    """Of non-finite values in several chunks the first is named, and only
+    after a value in a later chunk that is not a number."""
+    flat = np.random.default_rng(7).standard_normal(np.prod(_DIMS))
+    lines = _value_lines(flat)
+    k = _past_first_chunk(lines)
+    lines[0] = _with_token(lines[0], 3, "-inf")
+    lines[k] = _with_token(lines[k], 2, "nan")
+    path = tmp_path / "t.txt"
+    path.write_text("3 20 20 20\n" + "".join(lines))
+    at = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"^{at}: entry 3 .* is -inf; tensor entries"):
+        read_tensor(path)
+    lines[k] = _with_token(lines[k], 1, "abc")
+    path.write_text("3 20 20 20\n" + "".join(lines))
+    with pytest.raises(ValueError, match=f"^{at}: entry {6 * k + 1} .*'abc'"):
+        read_tensor(path)
+
+
 def test_tensor_count_errors_count_every_token_across_chunks(tmp_path):
     count = int(np.prod(_DIMS))
     lines = _value_lines(np.random.default_rng(4).standard_normal(count + 5000))
@@ -360,3 +395,13 @@ def test_read_memory_is_the_output_plus_one_chunk(tmp_path):
     write_model(path, model)
     nbytes = sum(f.nbytes for f in model.factors)
     assert _traced_peak(read_model, path) < 1.5 * nbytes + _chunk_peak(path)
+
+
+def test_read_tensor_peaks_under_one_byte_per_value_above_the_output(tmp_path):
+    """Values are checked for finiteness chunk by chunk, with no mask over
+    the whole array: on a 90^3 file the read's peak above the output array
+    is one chunk, under 0.75 byte per value."""
+    x = np.random.default_rng(8).standard_normal((90, 90, 90))
+    path = tmp_path / "t.txt"
+    write_tensor(path, x)
+    assert (_traced_peak(read_tensor, path) - x.nbytes) / x.size < 0.75

@@ -562,6 +562,27 @@ def test_run_residual_operand_has_the_product_layout(pattern, dims, solver, labe
     assert run.x.nbytes <= kept < 2 * run.x.nbytes
 
 
+def test_pcls3_holds_one_tensor():
+    """On a C-ordered float64 tensor pcls3 reads its mode-3 unfolding as a
+    view of the caller's array, so one call's traced peak stays within 1.25
+    times the tensor's size; a copy of the unfolding would add one more."""
+    x, truth = generate_problem("psym3", (60, 60, 60), 10, np.random.default_rng(3), 0.5)
+    x = np.ascontiguousarray(x)
+    init = initialize([f.shape for f in truth.factors], np.random.default_rng(4), truth, 0.1)
+
+    def call():
+        pcls3(x, 10, [f.copy() for f in init], SolverConfig(max_iters=3))
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
+
+
 def _strided(x):
     """x as a view whose last mode steps over every other float64."""
     wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
