@@ -71,7 +71,8 @@ _PRESETS: dict[str, dict] = {
 
 
 # Benchmark flags that override a preset's field; unset fields keep ExperimentSpec's defaults.
-_PRESET_FLAGS = ("kind", "dims", "rank", "sizes", "n_seeds", "init", "init_sigma", "collinearity")
+_PRESET_FLAGS = ("kind", "dims", "rank", "sizes", "n_seeds", "init", "init_sigma", "collinearity",
+                 "max_iters", "tol")
 
 
 def _positive_int(text: str) -> int:
@@ -157,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--init", choices=("random", "perturbed"))
     ben.add_argument("--init-sigma", type=float)
     ben.add_argument("--collinearity", type=float)
-    ben.add_argument("--tol", type=float, default=SolverConfig.tol)
-    ben.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iters)
+    ben.add_argument("--tol", type=float)
+    ben.add_argument("--max-iters", type=_positive_int)
     ben.add_argument("--scale", type=_scale_value, default=1.0,
                      help="shrink (or grow) dims and rank by this factor")
     ben.add_argument("--out-dir", default=None)
@@ -227,7 +228,6 @@ def cmd_benchmark(args) -> int:
     if kind is None:
         print("error: provide --preset or --kind/--dims/--rank", file=sys.stderr)
         return 2
-    cfg = SolverConfig(max_iters=args.max_iters, tol=args.tol)
     out_dir = args.out_dir or f"bench_{args.preset or kind}"
     if sizes is not None:
         if kind != "psym3":
@@ -247,8 +247,7 @@ def cmd_benchmark(args) -> int:
         jobs = [(tuple(_scaled(d, args.scale) for d in dims), _scaled(rank, args.scale), out_dir)]
     # Every spec is checked before the first run creates a directory.
     specs = [
-        ExperimentSpec(kind=kind, dims=d, rank=r, base_seed=args.base_seed,
-                       config=cfg, out_dir=o, **opts)
+        ExperimentSpec(kind=kind, dims=d, rank=r, base_seed=args.base_seed, out_dir=o, **opts)
         for d, r, o in jobs
     ]
     sweep = []

@@ -274,15 +274,26 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:
     """Max absolute entry difference over the pattern's index permutations.
 
-    NaN anywhere in a difference (a NaN entry, or inf against inf) makes the
+    Each permutation's difference is taken slab by slab over the first mode,
+    into one reused block of at most ``_BLOCK`` values (more only when one
+    index of that mode spans more), so no tensor-sized temporary is made;
+    the max is exact, so the value does not depend on the slabs. NaN
+    anywhere in a difference (a NaN entry, or inf against inf) makes the
     defect NaN, so :func:`symmetry_check` rejects the tensor.
     """
     x = np.asarray(x)
+    row = max(1, x[:1].size)  # entries per index of the first mode
+    step = max(1, _BLOCK // row)
+    block = np.empty(min(step, len(x)) * row)
     diffs = []
     with np.errstate(invalid="ignore"):
         for perm in pattern.permutations:
-            d = x.transpose(perm) - x
-            diffs.append(np.max(np.abs(d, out=d)))  # in place: one temporary per permutation
+            xt = x.transpose(perm)
+            for i in range(0, len(x), step):
+                xs = x[i : i + step]
+                d = block[: xs.size].reshape(xs.shape)
+                np.subtract(xt[i : i + step], xs, out=d)
+                diffs.append(np.max(np.abs(d, out=d)))
     return float(np.max(diffs, initial=0.0))
 
 

@@ -13,7 +13,7 @@ import json
 import numbers
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,9 +120,8 @@ def solve_problem(
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One problem family, a seed range, and the solvers to compare (default:
-    all of the kind's). ``config.seed`` does not reach the runs:
-    :func:`run_experiment` replaces it per seed with a redraw seed derived
-    from ``base_seed``."""
+    all of the kind's). ``max_iters`` and ``tol`` are every run's
+    :class:`SolverConfig` limits, with its defaults and checks."""
 
     kind: str
     dims: tuple[int, ...]
@@ -133,7 +132,8 @@ class ExperimentSpec:
     init: str = "random"  # "random" or "perturbed"
     init_sigma: float = 0.1
     collinearity: float = 0.0
-    config: SolverConfig = field(default_factory=SolverConfig)
+    max_iters: int = SolverConfig.max_iters
+    tol: float = SolverConfig.tol
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -148,6 +148,7 @@ class ExperimentSpec:
         if self.init not in ("random", "perturbed"):
             raise ValueError(f"init must be 'random' or 'perturbed', got {self.init!r}")
         _check_collinearity(self.collinearity)
+        SolverConfig(self.max_iters, self.tol)
         if not self.init_sigma >= 0.0:
             raise ValueError(f"init_sigma must be >= 0, got {self.init_sigma}")
         for s in self.solvers:
@@ -229,9 +230,9 @@ def _aggregate(solver: str, records: list[RunRecord]) -> AggregateStats:
 def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Generate, solve, and aggregate one experiment.
 
-    Seeds run one after another. Each gets its own problem instance and one
-    shared set of starting factors handed to every solver in the comparison;
-    records come in (seed, solver) order.
+    Seeds run one after another. Each gets its own problem instance, one
+    shared set of starting factors and one shared redraw seed, all derived
+    from ``base_seed``; records come in (seed, solver) order.
     """
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -243,10 +244,8 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
         shapes = [(n, spec.rank) for n in _pattern(spec.kind).factor_rows(spec.dims)]
         reference = truth if spec.init == "perturbed" else None
         init = initialize(shapes, _seed_for(spec.base_seed, 1, idx), reference, spec.init_sigma)
-        redraw_seed = int(
-            np.random.SeedSequence((spec.base_seed, 2, idx)).generate_state(1)[0]
-        )
-        cfg = dataclasses.replace(spec.config, seed=redraw_seed)
+        redraw_seed = int(np.random.SeedSequence((spec.base_seed, 2, idx)).generate_state(1)[0])
+        cfg = SolverConfig(spec.max_iters, spec.tol, redraw_seed)
         for solver in spec.solvers:
             _, trace = solve_problem(
                 spec.kind, solver, x, spec.rank, [f.copy() for f in init], cfg

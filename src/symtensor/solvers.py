@@ -219,8 +219,9 @@ class _Run:
         except ValueError:
             raise ValueError(f"{name} expects an {shape} tensor, got {x.shape}") from None
         self.x = x = _product_layout(x)
+        flat = x.ravel(order="K")  # a view of x's buffer, which is contiguous
         with np.errstate(over="ignore"):
-            norm_sq = float(np.sum(x * x))
+            norm_sq = float(np.einsum("i,i->", flat, flat))
         if not math.isfinite(norm_sq):
             if not np.isfinite(x).all():
                 raise ValueError("input tensor has non-finite entries (NaN or inf)")
@@ -229,7 +230,7 @@ class _Run:
                 f"(largest |entry| {float(np.abs(x).max()):.3g})"
             )
         if symmetric:
-            big = float(np.abs(x).max())
+            big = float(max(x.max(), -x.min()))
             if not symmetry_check(x, pattern, _SYM_PRE_TOL * big):
                 raise ValueError(
                     f"input tensor is not {pattern.value}-symmetric within {_SYM_PRE_TOL:g} "

@@ -165,7 +165,7 @@ def _experiment_cases(st):
     problems, the shared starts and the redraw seeds."""
     spec = st.ExperimentSpec(
         kind="psym3", dims=(5, 5, 4), rank=2, n_seeds=2, base_seed=7,
-        config=st.SolverConfig(max_iters=SMALL_MAX_ITERS),
+        max_iters=SMALL_MAX_ITERS,
     )
     for rec in st.run_experiment(spec).runs:
         yield f"experiment/psym3/seed{rec.seed_index}/{rec.solver}", {

@@ -114,13 +114,13 @@ def comparison_runs(tmp_path_factory):
         kind="psym3", dims=(17, 17, 18), rank=17, solvers=("pcls", "als"),
         n_seeds=10, base_seed=0, init="perturbed", init_sigma=0.1,
         collinearity=PAIRWISE_COLLINEARITY,
-        config=SolverConfig(max_iters=20000, tol=1e-10),
+        max_iters=20000, tol=1e-10,
     )
     fsym4 = ExperimentSpec(
         kind="fsym4", dims=(10, 10, 10, 10), rank=10, solvers=("pcls", "als"),
         n_seeds=10, base_seed=0, init="perturbed", init_sigma=0.1,
         collinearity=FOURTH_ORDER_COLLINEARITY,
-        config=SolverConfig(max_iters=20000, tol=1e-10),
+        max_iters=20000, tol=1e-10,
         out_dir=str(tmp_path_factory.mktemp("fsym4_runs")),
     )
     # random starts, averaged per size: the wall-time trend regime
@@ -129,7 +129,7 @@ def comparison_runs(tmp_path_factory):
             kind="psym3", dims=(n, n, n), rank=n, solvers=("pcls", "als"),
             n_seeds=5, base_seed=0, init="random",
             collinearity=SWEEP_COLLINEARITY,
-            config=SolverConfig(max_iters=20000, tol=1e-10),
+            max_iters=20000, tol=1e-10,
         )
         for n in (30, 20, 10)
     }

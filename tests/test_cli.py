@@ -350,6 +350,23 @@ def test_benchmark_preset_scaled_smoke(tmp_path):
     assert "pcls: converged" in res.stderr
 
 
+def test_benchmark_solver_limits_reach_every_run(tmp_path):
+    """--max-iters and --tol are ExperimentSpec fields like the other flags:
+    every run stops at the cap, and the summary echoes both limits and no
+    solver seed."""
+    res = run_cli(
+        "benchmark", "--kind", "psym3", "--dims", "4,4,3", "--rank", "2", "--seeds", "2",
+        "--max-iters", "1", "--tol", "1e-3", "--out-dir", "bench", cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "bench" / "summary.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert len(doc["runs"]) == 4 and all(r["iterations"] == 1 for r in doc["runs"])
+    exp = doc["experiment"]
+    assert (exp["max_iters"], exp["tol"]) == (1, 0.001)
+    assert "config" not in exp and "seed" not in exp
+
+
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_every_preset_runs_scaled_down(tmp_path, preset):
     res = run_cli(
@@ -427,8 +444,9 @@ def test_benchmark_usage_errors(tmp_path):
     "flags,message",
     [(("--preset", "example1", "--collinearity", "1.5"), "collinearity"),
      (("--preset", "example3", "--scale", "0.1", "--init", "perturbed",
-       "--init-sigma", "-1"), "init_sigma")],
-    ids=["collinearity", "init-sigma"],
+       "--init-sigma", "-1"), "init_sigma"),
+     (("--preset", "example1", "--tol", "0"), "tol must be positive")],
+    ids=["collinearity", "init-sigma", "tol"],
 )
 def test_benchmark_bad_flags_write_nothing(tmp_path, flags, message):
     res = run_cli("benchmark", *flags, "--out-dir", "out", cwd=tmp_path)

@@ -260,6 +260,42 @@ def test_residual_sq_across_blocks_matches_oracle(pattern, rows, exact):
         assert zero == 0.0 if exact else zero <= 1e-28 * float(np.sum(own * own))
 
 
+def _plain_defect(x, pattern):
+    """The defect as one whole-tensor difference per permutation."""
+    with np.errstate(invalid="ignore"):
+        diffs = [np.max(np.abs(x.transpose(p) - x)) for p in pattern.permutations]
+    return float(np.max(diffs, initial=0.0))
+
+
+@pytest.mark.parametrize("pattern,rows,exact", _MULTI_BLOCK)
+def test_symmetry_defect_across_blocks_matches_plain_formula(pattern, rows, exact):
+    """Slab by slab, the defect is the plain formula's float for C, F and
+    strided inputs, and a NaN or an inf in any slab reaches it."""
+    rng = np.random.default_rng(29)
+    model = FactorModel(pattern, [rng.standard_normal((n, 3)) for n in rows])
+    dims = model.dims
+    assert 0 < _BLOCK // (np.prod(dims) // dims[0]) < dims[0]
+    base = reconstruct(model) + 1e-6 * rng.standard_normal(dims)
+    cases = [base]
+    # at distinct indices each bad entry meets a finite one; on the diagonal,
+    # inf meets itself
+    apart = (dims[0] // 2, 0, 1, 2)[: len(dims)]
+    for index, bad in [(apart, np.nan), (apart, np.inf), (apart, -np.inf), ((2,) * len(dims), np.inf)]:
+        y = base.copy()
+        y[index] = bad
+        cases.append(y)
+    for y in cases:
+        want = _plain_defect(y, pattern)
+        wide = np.zeros(dims[:-1] + (2 * dims[-1],))
+        wide[..., ::2] = y
+        for z in (y, np.asfortranarray(y), wide[..., ::2]):
+            got = symmetry_defect(z, pattern)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+    if pattern.permutations:
+        assert _plain_defect(base, pattern) > 0.0
+        assert [np.isnan(_plain_defect(y, pattern)) for y in cases[1:]] == [True, False, False, True]
+
+
 def test_residual_sq_memory_is_one_block():
     """The residual streams the product through one block: on a 60^3 model
     its peak allocation stays well below the tensor itself."""
@@ -270,6 +306,20 @@ def test_residual_sq_memory_is_one_block():
     tracemalloc.start()
     try:
         residual_sq(x, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
+
+
+def test_symmetry_defect_memory_is_one_block():
+    """The defect takes each permutation's difference through one block: on
+    a 60^3 tensor its peak allocation stays well below the tensor itself."""
+    x = np.random.default_rng(24).standard_normal((60, 60, 60))
+    symmetry_defect(x, SymmetryPattern.PSYM3)
+    tracemalloc.start()
+    try:
+        symmetry_defect(x, SymmetryPattern.PSYM3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 """Problem generators, experiment orchestration, and trace/summary files."""
+import dataclasses
 import json
 import os
 
@@ -192,7 +193,7 @@ def _small_spec(**overrides):
         base_seed=3,
         init="perturbed",
         init_sigma=0.1,
-        config=SolverConfig(max_iters=2000),
+        max_iters=2000,
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -258,7 +259,7 @@ def test_run_experiment_truth_start_converges_everywhere(kind):
 
 
 def test_run_experiment_no_converged_runs_gives_none_stats():
-    spec = _small_spec(init="random", config=SolverConfig(max_iters=1), n_seeds=2)
+    spec = _small_spec(init="random", max_iters=1, n_seeds=2)
     summary = run_experiment(spec)
     for agg in summary.aggregates.values():
         assert agg.n_converged == 0
@@ -275,8 +276,8 @@ def test_summary_json_schema(tmp_path):
     assert set(doc) == {"experiment", "runs", "aggregates"}
     exp = doc["experiment"]
     assert list(exp) == ["kind", "dims", "rank", "solvers", "n_seeds", "base_seed",
-                         "init", "init_sigma", "collinearity", "config"]
-    assert list(exp["config"].items()) == [("max_iters", 2000), ("tol", 1e-10), ("seed", 0)]
+                         "init", "init_sigma", "collinearity", "max_iters", "tol"]
+    assert (exp["max_iters"], exp["tol"]) == (2000, 1e-10)
     run = doc["runs"][0]
     for key in ("seed_index", "solver", "iterations", "final_residual",
                 "wall_time", "stop_reason", "trace_path"):
@@ -317,3 +318,18 @@ def test_experiment_spec_validation():
         ExperimentSpec(**{**ok, "init_sigma": -1.0})
     with pytest.raises(ValueError):
         ExperimentSpec(kind="psym4-case1", dims=(4, 3, 4, 3), rank=2, solvers=("pcls", "als"))
+
+
+@pytest.mark.parametrize("limits", [{"max_iters": 0}, {"max_iters": 1.5}, {"tol": 0}, {"tol": -1.0}])
+def test_experiment_spec_checks_solver_limits_as_solver_config(limits):
+    """The spec keeps only the solver limits its runs use, with SolverConfig's
+    defaults and error messages; no solver seed is settable."""
+    ok = dict(kind="psym3", dims=(4, 4, 3), rank=2)
+    spec = ExperimentSpec(**ok)
+    assert (spec.max_iters, spec.tol) == (SolverConfig.max_iters, SolverConfig.tol)
+    assert "config" not in {f.name for f in dataclasses.fields(ExperimentSpec)}
+    with pytest.raises(ValueError) as want:
+        SolverConfig(**limits)
+    with pytest.raises(ValueError) as got:
+        ExperimentSpec(**ok, **limits)
+    assert str(got.value) == str(want.value)

@@ -583,6 +583,27 @@ def test_pcls3_holds_one_tensor():
     assert peak <= 1.25 * x.nbytes
 
 
+def test_pcls3_setup_makes_no_tensor_sized_temporary():
+    """The set-up checks (squared-norm overflow, largest |entry|, symmetry)
+    reduce over the caller's C-ordered 60^3 tensor without a tensor-sized
+    temporary, so one pcls3 call peaks well below the tensor's size."""
+    x, truth = generate_problem("psym3", (60, 60, 60), 10, np.random.default_rng(3), 0.5)
+    x = np.ascontiguousarray(x)
+    init = initialize([f.shape for f in truth.factors], np.random.default_rng(4), truth, 0.1)
+
+    def call():
+        pcls3(x, 10, [f.copy() for f in init], SolverConfig(max_iters=3))
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * x.nbytes
+
+
 def _strided(x):
     """x as a view whose last mode steps over every other float64."""
     wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
