@@ -3,18 +3,20 @@
 Written as plain Python over floats, whose scalar reads cost a fraction of
 numpy's. A sweep updates a list in place and reads its targets from a flat
 sequence: a list, or a ``memoryview`` of a float64 buffer, which makes each
-float only as the loop reads it. The pcls solvers call ``coordinate_sweep``,
-one cyclic pass over the coordinates, once per live factor column;
-``cubic_roots`` and ``quartic_min`` are the scalar layer beneath it. The
-bits matter: random-start pcls runs are chaotic, and a sweep that differs
-only at roundoff (a BLAS dot for the sums, say) changes their iteration
-counts and can fail the acceptance gates. :func:`coordinate_sweep` says why
-its shortcuts keep every bit of the plain per-coordinate ``quartic_min``
-loop.
+float only as the loop reads it. Its two sums per coordinate are folded by
+built-in ``sum`` in C, not by a Python loop. The pcls solvers call
+``coordinate_sweep``, one cyclic pass over the coordinates, once per live
+factor column; ``cubic_roots`` and ``quartic_min`` are the scalar layer
+beneath it. The bits matter: random-start pcls runs are chaotic, and a
+sweep that differs only at roundoff (a BLAS dot for the sums, say) changes
+their iteration counts and can fail the acceptance gates.
+:func:`coordinate_sweep` says why its shortcuts keep every bit of the plain
+per-coordinate ``quartic_min`` loop.
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 
 __all__ = ["cubic_roots", "quartic_min", "coordinate_sweep"]
 
@@ -127,33 +129,41 @@ def coordinate_sweep(v: list, t) -> None:
     to v[i] is a quartic with unit leading coefficient, minimized exactly.
     The constant term is irrelevant to the argmin and is passed as zero.
 
-    One iterator walks ``t`` for the whole pass, and coordinate i's fold
-    ``zip(v, it)`` takes row i from it. ``v`` leads the ``zip``: when the
-    fold ends, ``zip`` finds ``v`` exhausted before it asks ``it`` for
+    Both sums are folds by built-in ``sum`` from 0.0. On CPython 3.10 and
+    3.11 it adds floats left to right into one C double, so each is the
+    plain loop's fold, operation for operation (CPython 3.12 and later
+    compensate the sum: more accurate, other bits). The sum of squares
+    folds ``sq``, which holds ``v[j] * v[j]`` for every j: built once per
+    call and rewritten as each coordinate changes. One iterator ``it``
+    walks ``t`` for the whole pass, and coordinate i's cross sum
+    ``map(mul, v, it)`` takes row i from it (IEEE products commute, so
+    ``v[j] * t`` is the loop's ``t * v[j]``). ``v`` leads the ``map``: when
+    the fold ends, ``map`` finds ``v`` exhausted before it asks ``it`` for
     another value, so no value of the next row is read and lost.
 
-    Setting ``v[i] = 0.0`` before folding coordinate i's sums over the whole
-    row drops the j != i test without changing a bit: the fold adds +0.0 to
-    the sum of squares and +-0.0 to the cross sum, and neither sum is ever
-    -0.0, so both stay as they were. The one-real-root case (discriminant
-    > 0) of ``quartic_min(1, 0, c2, c1, 0)`` is inlined. There the cubic
-    has no quadratic term (p = 0), so every term it drops from
-    ``cubic_roots`` and ``_polish`` divides by one or adds an exact zero;
-    that can only flip the sign of a zero, and in this case no zero sign
-    reaches the root (s > 0, and x is never -0.0), so the root is
-    ``cubic_roots``' own. The other cases call ``quartic_min``.
+    Setting ``v[i] = 0.0`` and ``sq[i] = 0.0`` before folding coordinate
+    i's sums over the whole row drops the j != i test without changing a
+    bit: the fold adds +0.0 to the sum of squares and +-0.0 to the cross
+    sum, and neither sum is ever -0.0, so both stay as they were. ``sq``
+    keeps that argument: each entry is a square, never -0.0, and ``sq[i]``
+    is the +0.0 that ``v[i] * v[i]`` would give.
+
+    The one-real-root case (discriminant > 0) of ``quartic_min(1, 0, c2,
+    c1, 0)`` is inlined. There the cubic has no quadratic term (p = 0), so
+    every term it drops from ``cubic_roots`` and ``_polish`` divides by one
+    or adds an exact zero; that can only flip the sign of a zero, and in
+    this case no zero sign reaches the root (s > 0, and x is never -0.0),
+    so the root is ``cubic_roots``' own. The other cases call
+    ``quartic_min``.
     """
     n = len(v)
     it = iter(t)
+    sq = [aj * aj for aj in v]
     for i in range(n):
         v[i] = 0.0
-        s2 = 0.0
-        s1 = 0.0
-        for aj, tij in zip(v, it):
-            s2 += aj * aj
-            s1 += tij * aj
-        c2 = 2.0 * s2 - t[i * n + i]  # t[i * n + i] = 2 y[i, i]
-        c1 = -2.0 * s1
+        sq[i] = 0.0
+        c2 = 2.0 * sum(sq, 0.0) - t[i * n + i]  # t[i * n + i] = 2 y[i, i]
+        c1 = -2.0 * sum(map(mul, v, it), 0.0)
         q = 0.5 * c2
         r = 0.25 * c1
         half_q = 0.5 * r
@@ -172,6 +182,7 @@ def coordinate_sweep(v: list, t) -> None:
             d = 3.0 * x * x + q
             if d != 0.0:
                 x -= ((x * x + q) * x + r) / d
-            v[i] = x
         else:
-            v[i] = quartic_min(1.0, 0.0, c2, c1, 0.0)[0]
+            x = quartic_min(1.0, 0.0, c2, c1, 0.0)[0]
+        v[i] = x
+        sq[i] = x * x

@@ -171,14 +171,19 @@ def square_matricize(x: np.ndarray) -> np.ndarray:
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise Kronecker product: column r is kron(a[:, r], b[:, r])."""
+    """Columnwise Kronecker product: column r is kron(a[:, r], b[:, r]).
+
+    Each entry is one product, laid out as ``a[:, None] * b[None]`` would
+    lay it out; ``einsum`` adds each product to a zeroed output, so an exact
+    zero comes out +0.0 where that product could give -0.0.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("khatri_rao expects matrices")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    return np.einsum("ir,jr->ijr", a, b).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def _product_perm(order: int) -> tuple[int, ...]:
@@ -274,21 +279,26 @@ def residual_sq(x: np.ndarray, model: FactorModel) -> float:
 def symmetry_defect(x: np.ndarray, pattern: SymmetryPattern) -> float:
     """Max absolute entry difference over the pattern's index permutations.
 
-    Each permutation's difference is taken slab by slab over the first mode,
-    into one reused block of at most ``_BLOCK`` values (more only when one
-    index of that mode spans more), so no tensor-sized temporary is made;
-    the max is exact, so the value does not depend on the slabs. NaN
-    anywhere in a difference (a NaN entry, or inf against inf) makes the
-    defect NaN, so :func:`symmetry_check` rejects the tensor.
+    Each permutation's difference is taken slab by slab over the mode with
+    the largest stride (the last mode of an F-ordered tensor), into one
+    reused block of at most ``_BLOCK`` values (more only when one index of
+    that mode spans more), so no tensor-sized temporary is made and the
+    slabs of a C- or F-ordered x are contiguous; the max is exact, so the
+    value does not depend on the slabs. NaN anywhere in a difference (a NaN
+    entry, or inf against inf) makes the defect NaN, so
+    :func:`symmetry_check` rejects the tensor.
     """
-    x = np.asarray(x)
-    row = max(1, x[:1].size)  # entries per index of the first mode
+    x0 = np.asarray(x)
+    # modes by decreasing stride: the memory order of x0
+    axes = sorted(range(x0.ndim), key=lambda m: -abs(x0.strides[m]))
+    x = x0.transpose(axes)
+    row = max(1, x[:1].size)  # entries per index of the slabbed mode
     step = max(1, _BLOCK // row)
     block = np.empty(min(step, len(x)) * row)
     diffs = []
     with np.errstate(invalid="ignore"):
         for perm in pattern.permutations:
-            xt = x.transpose(perm)
+            xt = x0.transpose(perm).transpose(axes)
             for i in range(0, len(x), step):
                 xs = x[i : i + step]
                 d = block[: xs.size].reshape(xs.shape)

@@ -273,6 +273,21 @@ def _sweep_cases(rng):
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     yield 1e-2 * rng.standard_normal(8), q @ np.diag([9.0, 8.0, 7.0, 6.0, -1.0, 0.5, 3.0, 5.0]) @ q.T, 3
     yield rng.standard_normal(60), rng.standard_normal((60, 60)), 1
+    # a 60-long start with exact zeros of both signs, over several passes
+    a0 = rng.standard_normal(60)
+    a0[::7] = 0.0
+    a0[3::7] = -0.0
+    yield a0, rng.standard_normal((60, 60)), 3
+
+
+def test_float_sum_is_a_plain_left_fold():
+    """The premise of the sweep's bit-equality: built-in ``sum`` adds floats
+    left to right into one double. A compensated (Neumaier) sum gives 2.0."""
+    assert sum([1.0, 1e100, 1.0, -1e100], 0.0) == 0.0, (
+        "sum() of floats is not a plain left fold on this Python, so "
+        "coordinate_sweep's sums are not the array loop's: see the "
+        "symtensor._kernels.coordinate_sweep docstring"
+    )
 
 
 def test_sweep_bitwise_equals_array_loop(monkeypatch):

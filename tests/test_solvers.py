@@ -367,27 +367,29 @@ def test_column_sweep_matches_per_column_reference():
     once, yet its factor equals, bit for bit, a column-by-column sweep over
     numpy arrays, for an F-ordered g (pcls3 and the pcls4 cases pass a
     transposed solve) and a C-ordered one (pcls4_full's ``e @ q.T``); the
-    two dead columns are redrawn from the seed's first two standard normal
-    draws, in column order."""
+    dead columns are redrawn from the seed's first standard normal draws,
+    in column order. The second case has the benchmark's column length
+    (n = 60, as on its 60^3 tensors) and one dead column."""
     from _oracles import column_sweep_oracle
 
-    n, r, seed = 9, 6, 5
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((n, r))
-    g_f = rng.standard_normal((r, n * n)).T
-    g_f[:, [1, 4]] = 0.0
-    for g in (g_f, np.ascontiguousarray(g_f)):
-        run = _solve_run(seed=seed)
-        expect, redrawn = column_sweep_oracle(
-            a, g, np.random.default_rng(seed), solvers._DEAD_COLUMN_REL
-        )
-        got = a.copy()
-        run.sweep(got, g)
-        assert np.array_equal(got, expect)
-        assert redrawn == run.diag["redrawn_columns"] == 2
-        draws = np.random.default_rng(seed)
-        assert np.array_equal(got[:, 1], draws.standard_normal(n))
-        assert np.array_equal(got[:, 4], draws.standard_normal(n))
+    seed = 5
+    for n, r, dead in ((9, 6, [1, 4]), (60, 3, [1])):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((n, r))
+        g_f = rng.standard_normal((r, n * n)).T
+        g_f[:, dead] = 0.0
+        for g in (g_f, np.ascontiguousarray(g_f)):
+            run = _solve_run(seed=seed)
+            expect, redrawn = column_sweep_oracle(
+                a, g, np.random.default_rng(seed), solvers._DEAD_COLUMN_REL
+            )
+            got = a.copy()
+            run.sweep(got, g)
+            assert got.tobytes() == expect.tobytes()
+            assert redrawn == run.diag["redrawn_columns"] == len(dead)
+            draws = np.random.default_rng(seed)
+            for c in dead:
+                assert np.array_equal(got[:, c], draws.standard_normal(n))
 
 
 # --------------------------------------------------------------------- #
